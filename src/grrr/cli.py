@@ -8,9 +8,7 @@ Subcommands:
 
 All data goes to standard output (JSON or CSV, byte-stable for fixed input
 and flags); diagnostics go to standard error. Exit status is 0 only when
-parsing, fitting, and convergence all succeed. ``GRRR_THREADS`` caps
-worker parallelism; the current implementation is single-threaded, so any
-valid value is accepted and simply recorded.
+parsing, fitting, and convergence all succeed.
 """
 
 from __future__ import annotations
@@ -23,16 +21,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import StudyTable, estimate_theta, odds_ratio_to_theta, theta_from_probs
+from .core import StudyTable, odds_ratio_to_theta
 from .distribution import SplitLognormalApprox, confidence_interval
 from .errors import DatasetError, DomainError, GrrrError
 from .kernels import std_normal_quantile
 from .meta import (MetaFit, fit_beta_model, fit_direct_dl, fit_direct_ml,
                    fit_split_lognormal_model)
-from .variance import VarianceSpec, _corrected_props, make_estimate
+from .variance import VarianceSpec, make_estimate
 
 __all__ = [
     "AnalysisConfig",
@@ -165,20 +163,39 @@ def parse_dataset(source, swap_arms: bool = False) -> list[StudyTable]:
     return tables
 
 
-def _study_ci(table: StudyTable, zero_correction: float, alpha: float):
-    """Per-study split-lognormal CI; (None, None, reason) when the table
-    needs a zero-correction that was not granted."""
-    try:
-        approx = SplitLognormalApprox.from_table(table, zero_correction)
-    except DomainError:
-        return None, None, "zero margin; rerun with --zero-correction > 0"
-    if table.has_boundary_margin and zero_correction > 0.0:
-        p, q, _, _ = _corrected_props(table, zero_correction)
-        theta = theta_from_probs(p, q)
-    else:
-        theta = estimate_theta(table)
-    lo, hi = confidence_interval(theta, approx, alpha)
-    return lo, hi, None
+def _study_records(config: AnalysisConfig, tables: Sequence[StudyTable]):
+    """Per-study estimates and records: theta-hat, its within-study
+    variance, and its split-lognormal CI, which is (None, None) with a note
+    when the table needs a zero-correction that was not granted."""
+    estimates = [
+        make_estimate(t, VarianceSpec(config.variance, config.bootstrap_reps,
+                                      config.seed + i),
+                      zero_correction=config.zero_correction)
+        for i, t in enumerate(tables)
+    ]
+    records = []
+    for table, est in zip(tables, estimates):
+        used = not (est.degenerate and not est.corrected)
+        reason = None if used else ("double-degenerate table "
+                                    "(no events or all events in both arms)")
+        try:
+            approx = SplitLognormalApprox.from_table(table, config.zero_correction)
+        except DomainError:
+            lo = hi = None
+            note = "zero margin; rerun with --zero-correction > 0"
+        else:
+            lo, hi = confidence_interval(est.theta_hat, approx, config.alpha)
+            note = None
+        records.append(StudyRecord(table.study_id, est.theta_hat, est.sigma2,
+                                   lo, hi, note, used, reason))
+    return estimates, records
+
+
+def _pooled_ci(fit: MetaFit, alpha: float) -> tuple:
+    """Normal-approximation interval theta-hat +/- z se, clipped to [-1, 1]."""
+    z = std_normal_quantile(1.0 - alpha / 2.0)
+    return (max(-1.0, fit.theta_hat - z * fit.se_theta),
+            min(1.0, fit.theta_hat + z * fit.se_theta))
 
 
 def run_analysis(config: AnalysisConfig, tables: Sequence[StudyTable],
@@ -194,13 +211,7 @@ def run_analysis(config: AnalysisConfig, tables: Sequence[StudyTable],
     if len(tables) < 2:
         raise DomainError(f"need at least 2 studies, got {len(tables)}")
 
-    estimates = [
-        make_estimate(t, VarianceSpec(config.variance, config.bootstrap_reps,
-                                      config.seed + i),
-                      zero_correction=config.zero_correction)
-        for i, t in enumerate(tables)
-    ]
-
+    estimates, records = _study_records(config, tables)
     if config.model == "direct-ml":
         fit = fit_direct_ml(estimates)
     elif config.model == "direct-dl":
@@ -210,18 +221,7 @@ def run_analysis(config: AnalysisConfig, tables: Sequence[StudyTable],
     else:
         fit = fit_split_lognormal_model(tables, config.zero_correction)
 
-    records = []
-    for table, est in zip(tables, estimates):
-        used = not (est.degenerate and not est.corrected)
-        reason = None if used else ("double-degenerate table "
-                                    "(no events or all events in both arms)")
-        lo, hi, note = _study_ci(table, config.zero_correction, config.alpha)
-        records.append(StudyRecord(table.study_id, est.theta_hat, est.sigma2,
-                                   lo, hi, note, used, reason))
-
-    z = std_normal_quantile(1.0 - config.alpha / 2.0)
-    pooled_ci = (max(-1.0, fit.theta_hat - z * fit.se_theta),
-                 min(1.0, fit.theta_hat + z * fit.se_theta))
+    pooled_ci = _pooled_ci(fit, config.alpha)
     summary = render_plain_language(fit, config.event_is_harm,
                                     ci=pooled_ci)
     return AnalysisReport(fit=fit, per_study=tuple(records),
@@ -239,9 +239,7 @@ def render_plain_language(fit: MetaFit, event_is_harm: bool = True,
     """
     theta = fit.theta_hat
     if ci is None:
-        z = std_normal_quantile(1.0 - alpha / 2.0)
-        ci = (max(-1.0, theta - z * fit.se_theta),
-              min(1.0, theta + z * fit.se_theta))
+        ci = _pooled_ci(fit, alpha)
     if theta == 0.0:
         return ("There is no estimated difference between the treated and "
                 "untreated in the probability of the event.")
@@ -264,9 +262,10 @@ def render_plain_language(fit: MetaFit, event_is_harm: bool = True,
     return text + f" On balance this favours the {favours}."
 
 
-def _num(x):
-    # floats serialize via repr (shortest round-trip), so reparse is exact
-    return None if x is None else x
+def _cell(x):
+    """CSV cell: empty for None, repr for floats (shortest round-trip, so
+    reparsing is exact)."""
+    return "" if x is None else (repr(x) if isinstance(x, float) else x)
 
 
 def emit_report(report: AnalysisReport, fmt: str = "json",
@@ -283,15 +282,15 @@ def emit_report(report: AnalysisReport, fmt: str = "json",
                 "ci_lower": report.pooled_ci[0],
                 "ci_upper": report.pooled_ci[1],
             },
-            "tau": {"estimate": fit.tau_hat, "se": _num(fit.se_tau)},
-            "i_squared": _num(fit.i_squared),
+            "tau": {"estimate": fit.tau_hat, "se": fit.se_tau},
+            "i_squared": fit.i_squared,
             "studies": [
                 {
                     "study_id": r.study_id,
                     "theta_hat": r.theta_hat,
                     "sigma2": r.sigma2,
-                    "ci_lower": _num(r.ci_lower),
-                    "ci_upper": _num(r.ci_upper),
+                    "ci_lower": r.ci_lower,
+                    "ci_upper": r.ci_upper,
                     "ci_note": r.ci_note,
                     "used": r.used,
                     "discard_reason": r.discard_reason,
@@ -300,7 +299,7 @@ def emit_report(report: AnalysisReport, fmt: str = "json",
             ],
             "summary": report.summary_text,
             "alpha": report.alpha,
-            "loglik": _num(fit.loglik),
+            "loglik": fit.loglik,
             "n_studies_used": fit.n_studies_used,
             "converged": fit.converged,
             "dataset_sha256": report.dataset_hash,
@@ -311,19 +310,15 @@ def emit_report(report: AnalysisReport, fmt: str = "json",
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["study_id", "theta", "se", "sigma2", "ci_lower",
                          "ci_upper", "used", "note", "tau", "i_squared"])
-
-        def cell(x):
-            return "" if x is None else (repr(x) if isinstance(x, float) else x)
-
         for r in report.per_study:
             note = r.discard_reason or r.ci_note
-            writer.writerow([r.study_id, cell(r.theta_hat),
-                             cell(math.sqrt(r.sigma2)), cell(r.sigma2),
-                             cell(r.ci_lower), cell(r.ci_upper),
-                             "yes" if r.used else "no", cell(note), "", ""])
-        writer.writerow(["POOLED", cell(fit.theta_hat), cell(fit.se_theta),
-                         "", cell(report.pooled_ci[0]), cell(report.pooled_ci[1]),
-                         "yes", "", cell(fit.tau_hat), cell(fit.i_squared)])
+            writer.writerow([r.study_id, _cell(r.theta_hat),
+                             _cell(math.sqrt(r.sigma2)), _cell(r.sigma2),
+                             _cell(r.ci_lower), _cell(r.ci_upper),
+                             "yes" if r.used else "no", _cell(note), "", ""])
+        writer.writerow(["POOLED", _cell(fit.theta_hat), _cell(fit.se_theta),
+                         "", _cell(report.pooled_ci[0]), _cell(report.pooled_ci[1]),
+                         "yes", "", _cell(fit.tau_hat), _cell(fit.i_squared)])
         return buf.getvalue().encode("utf-8")
     raise DomainError(f"unknown output format {fmt!r}")
 
@@ -342,20 +337,6 @@ def convert_mode(or_value: float, or_ci: Optional[tuple],
             "odds-ratio CI must satisfy 0 < lower <= OR <= upper")
     return theta, (odds_ratio_to_theta(lo, baseline_risk),
                    odds_ratio_to_theta(hi, baseline_risk))
-
-
-def _check_threads_env() -> Optional[int]:
-    raw = os.environ.get("GRRR_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"GRRR_THREADS must be a positive integer, got {raw!r}"
-                          ) from None
-    if value < 1:
-        raise DomainError(f"GRRR_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,12 +394,15 @@ def _hash_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _config(args, **extra) -> AnalysisConfig:
+    return AnalysisConfig(variance=args.variance,
+                          zero_correction=args.zero_correction,
+                          bootstrap_reps=args.bootstrap_reps,
+                          seed=args.seed, alpha=args.alpha, **extra)
+
+
 def _cmd_analyze(args) -> int:
-    config = AnalysisConfig(model=args.model, variance=args.variance,
-                            zero_correction=args.zero_correction,
-                            bootstrap_reps=args.bootstrap_reps,
-                            seed=args.seed, alpha=args.alpha,
-                            event_is_harm=args.event_is_harm)
+    config = _config(args, model=args.model, event_is_harm=args.event_is_harm)
     tables = parse_dataset(args.input, swap_arms=args.control_first)
     report = run_analysis(config, tables, dataset_hash=_hash_file(args.input))
     sys.stdout.buffer.write(emit_report(report, args.format,
@@ -431,23 +415,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    config = _config(args)
     tables = parse_dataset(args.input, swap_arms=args.control_first)
-    records = []
-    for i, table in enumerate(tables):
-        spec = VarianceSpec(args.variance, args.bootstrap_reps, args.seed + i)
-        est = make_estimate(table, spec, zero_correction=args.zero_correction)
-        lo, hi, note = _study_ci(table, args.zero_correction, args.alpha)
-        records.append({
-            "study_id": table.study_id,
-            "theta_hat": est.theta_hat,
-            "sigma2": est.sigma2,
-            "ci_lower": lo,
-            "ci_upper": hi,
-            "ci_note": note,
-            "degenerate": est.degenerate,
-        })
+    estimates, records = _study_records(config, tables)
     if args.format == "json":
-        obj = {"studies": records, "alpha": args.alpha,
+        studies = [{"study_id": r.study_id, "theta_hat": r.theta_hat,
+                    "sigma2": r.sigma2, "ci_lower": r.ci_lower,
+                    "ci_upper": r.ci_upper, "ci_note": r.ci_note,
+                    "degenerate": est.degenerate}
+                   for r, est in zip(records, estimates)]
+        obj = {"studies": studies, "alpha": config.alpha,
                "dataset_sha256": _hash_file(args.input)}
         sys.stdout.buffer.write((json.dumps(obj, indent=2) + "\n"
                                  ).encode("utf-8"))
@@ -457,11 +434,9 @@ def _cmd_estimate(args) -> int:
         writer.writerow(["study_id", "theta_hat", "sigma2", "ci_lower",
                          "ci_upper", "note"])
         for r in records:
-            writer.writerow([r["study_id"], repr(r["theta_hat"]),
-                             repr(r["sigma2"]),
-                             "" if r["ci_lower"] is None else repr(r["ci_lower"]),
-                             "" if r["ci_upper"] is None else repr(r["ci_upper"]),
-                             r["ci_note"] or ""])
+            writer.writerow([r.study_id, _cell(r.theta_hat), _cell(r.sigma2),
+                             _cell(r.ci_lower), _cell(r.ci_upper),
+                             _cell(r.ci_note)])
         sys.stdout.buffer.write(buf.getvalue().encode("utf-8"))
     sys.stdout.buffer.flush()
     return 0
@@ -495,7 +470,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         if args.command == "analyze":
             return _cmd_analyze(args)
         if args.command == "estimate":

@@ -39,6 +39,7 @@ from .variance import delta_method_params
 __all__ = [
     "SplitLognormalApprox",
     "pdf",
+    "SplitDensityBatch",
     "loglik",
     "cdf",
     "p_value",
@@ -110,26 +111,44 @@ def pdf(theta_hat: float, theta: float, approx: SplitLognormalApprox) -> float:
     return math.exp(loglik(theta_hat, theta, approx))
 
 
-def pdf_at_thetas(theta_hat: float, thetas: np.ndarray,
-                  approx: SplitLognormalApprox) -> np.ndarray:
-    """Vectorised ``pdf`` over an array of hypothesised thetas (one fixed
-    observation). Used by the random-effects integrand."""
-    theta_hat = _check_open_interval("theta_hat", theta_hat)
-    s1, s2 = approx.sigma1, approx.sigma2
-    thetas = np.asarray(thetas, dtype=float)
-    neg = thetas < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log1p_pos = np.log1p(thetas)   # finite where theta > -1
-        log1p_neg = np.log1p(-thetas)  # finite where theta < 1
-    if theta_hat < 0.0:
-        x = math.log1p(theta_hat)
-        mu = np.where(neg, log1p_pos, -(s1 / s2) * log1p_neg)
-        z = (x - mu) / s1
-        return np.exp(-0.5 * z * z - x) / (s1 * _SQRT_TWO_PI)
-    x = math.log1p(-theta_hat)
-    mu = np.where(neg, -(s2 / s1) * log1p_pos, log1p_neg)
-    z = (x - mu) / s2
-    return np.exp(-0.5 * z * z - x) / (s2 * _SQRT_TWO_PI)
+class SplitDensityBatch:
+    """Vectorised ``pdf`` for k observations at once: ``densities(thetas)``
+    is the (n, k) array of each observed theta-hat's density at each
+    hypothesised theta, 0 where theta is at or beyond +-1. The per-study
+    constants are computed once, since this sits in the innermost
+    quadrature loop of the random-effects likelihood."""
+
+    def __init__(self, theta_hats, approxes):
+        self.obs_neg = np.array([th < 0.0 for th in theta_hats])[None, :]
+        s1 = np.array([a.sigma1 for a in approxes])
+        s2 = np.array([a.sigma2 for a in approxes])
+        th = np.asarray(theta_hats, dtype=float)
+        self.s1 = s1[None, :]
+        self.s2 = s2[None, :]
+        self.ratio12 = (s1 / s2)[None, :]
+        self.ratio21 = (s2 / s1)[None, :]
+        # observed log coordinates and Jacobian factors per study
+        with np.errstate(divide="ignore"):
+            self.x1 = np.log1p(th)[None, :]
+            self.x2 = np.log1p(-th)[None, :]
+        self.log_norm1 = (-np.log(s1 * _SQRT_TWO_PI) - self.x1)
+        self.log_norm2 = (-np.log(s2 * _SQRT_TWO_PI) - self.x2)
+
+    def densities(self, thetas: np.ndarray) -> np.ndarray:
+        tn = thetas[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            l1p = np.log1p(tn)
+            l1m = np.log1p(-tn)
+            neg = tn < 0.0
+            mu1 = np.where(neg, l1p, -self.ratio12 * l1m)
+            mu2 = np.where(neg, -self.ratio21 * l1p, l1m)
+            z1 = (self.x1 - mu1) / self.s1
+            z2 = (self.x2 - mu2) / self.s2
+            log_d = np.where(self.obs_neg,
+                             -0.5 * z1 * z1 + self.log_norm1,
+                             -0.5 * z2 * z2 + self.log_norm2)
+            out = np.exp(log_d)
+        return np.where(np.isfinite(out), out, 0.0)
 
 
 def cdf(theta_hat: float, theta: float, approx: SplitLognormalApprox) -> float:

@@ -1,5 +1,5 @@
 """Numeric kernels: normal CDF/quantile, log-beta, adaptive quadrature,
-derivative-free minimisation, and a seedable binomial sampler.
+derivative-free minimisation, and a seeded random generator.
 
 Everything above this module (variance engine, sampling distribution,
 meta-analysis fitters) goes through these entry points, so their accuracy
@@ -8,10 +8,11 @@ contracts are tested here once:
 * ``std_normal_cdf``        abs error < 1e-15 on |x| <= 8
 * ``std_normal_quantile``   Phi(quantile(p)) = p to 1e-12
 * ``log_beta``              error < 1e-13 of the largest log-gamma term
-* ``integrate``             adaptive Gauss-Kronrod (G7,K15), conservative
-                            error estimates, breakpoint support
+* ``integrate_vector``      adaptive Gauss-Kronrod (G7,K15) over shared
+                            panels, conservative error estimates,
+                            breakpoint support
 * ``minimize``              Nelder-Mead simplex (scipy), deterministic
-* ``make_rng``/``rng_binomial``  PCG64-backed, reproducible per seed
+* ``make_rng``              PCG64-backed, reproducible per seed
 """
 
 from __future__ import annotations
@@ -19,25 +20,22 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.optimize
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
     "log_beta",
-    "QuadratureResult",
-    "integrate",
     "integrate_vector",
     "OptimizerResult",
     "minimize",
     "make_rng",
-    "rng_binomial",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -155,14 +153,6 @@ _G_WEIGHTS = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    converged: bool
-    evaluations: int
-
-
 def _eval_panel(f, a: float, b: float):
     """Evaluate one (G7,K15) panel; returns (kronrod_vec, err_vec, n_evals).
 
@@ -176,7 +166,7 @@ def _eval_panel(f, a: float, b: float):
     if fx.ndim == 1:
         fx = fx[:, None]
     if not np.all(np.isfinite(fx)):
-        raise DomainError(f"integrate: non-finite integrand value on [{a}, {b}]")
+        raise DomainError(f"integrate_vector: non-finite integrand value on [{a}, {b}]")
     kron = half * (_GK_WEIGHTS @ fx)
     gauss = half * (_G_WEIGHTS @ fx[1::2])
     return kron, np.abs(kron - gauss), x.shape[0]
@@ -207,9 +197,9 @@ def integrate_vector(
     the panel budget without gaining accuracy.
     """
     if not (tol > 0.0) or math.isnan(tol):
-        raise DomainError(f"integrate: tol must be > 0, got {tol!r}")
+        raise DomainError(f"integrate_vector: tol must be > 0, got {tol!r}")
     if not (lower < upper) or math.isinf(lower) or math.isinf(upper):
-        raise DomainError(f"integrate: bad interval [{lower}, {upper}]")
+        raise DomainError(f"integrate_vector: bad interval [{lower}, {upper}]")
 
     edges = [lower]
     for pt in sorted(set(float(p) for p in breakpoints)):
@@ -262,45 +252,6 @@ def integrate_vector(
         values += kron
         errors += err
     return values, errors, bool(np.all(errors <= tol)), evals
-
-
-def _scalar_adapter(f) -> Callable[[np.ndarray], np.ndarray]:
-    """Accept either array-vectorised or plain scalar callables."""
-
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        try:
-            y = np.asarray(f(x), dtype=float)
-            if y.shape == x.shape:
-                return y
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(f(xi)) for xi in x])
-
-    return wrapped
-
-
-def integrate(
-    f: Callable,
-    tol: float = 1e-10,
-    lower: float = 0.0,
-    upper: float = 1.0,
-    breakpoints: Sequence[float] = (),
-    max_panels: int = 4096,
-) -> QuadratureResult:
-    """Adaptive quadrature of a scalar integrand on a finite interval.
-
-    The error estimate is the summed |K15 - G7| panel differences, which is
-    conservative for the Kronrod value actually returned. Endpoint
-    singularities that are integrable (Kronrod nodes are interior, so the
-    integrand is never evaluated at the endpoints) converge by panel
-    bisection; ``converged`` reports whether the estimate met ``tol`` within
-    the panel budget.
-    """
-    values, errors, converged, evals = integrate_vector(
-        _scalar_adapter(f), 1, tol=tol, lower=lower, upper=upper,
-        breakpoints=breakpoints, max_panels=max_panels,
-    )
-    return QuadratureResult(float(values[0]), float(errors[0]), converged, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +310,3 @@ def make_rng(seed: int) -> np.random.Generator:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise DomainError(f"make_rng: seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(int(seed)))
-
-
-def rng_binomial(n: int, p: float, rng: np.random.Generator, size: Optional[int] = None):
-    """Draw Binomial(n, p) variates from ``rng``.
-
-    numpy's sampler is an exact method (inverse-CDF transform for small
-    n*p, BTPE otherwise); p = 0 and p = 1 return the deterministic
-    boundaries.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"rng_binomial: n must be a non-negative integer, got {n!r}")
-    if math.isnan(p) or not (0.0 <= p <= 1.0):
-        raise DomainError(f"rng_binomial: p must be in [0, 1], got {p!r}")
-    out = rng.binomial(int(n), float(p), size=size)
-    return int(out) if size is None else out

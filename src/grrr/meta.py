@@ -30,10 +30,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import StudyTable
-from .distribution import SplitLognormalApprox, loglik as split_loglik
+from .distribution import (SplitDensityBatch, SplitLognormalApprox,
+                           loglik as split_loglik)
 from .errors import ConvergenceError, DomainError
 from .kernels import integrate_vector, log_beta, minimize
-from .variance import GrrrEstimate, VarianceSpec, delta_method_params, make_estimate
+from .variance import GrrrEstimate, VarianceSpec, make_estimate
 
 __all__ = [
     "BetaMoments",
@@ -421,45 +422,6 @@ def _beta_segment_integrals(fvec_builder, alpha_p: float, beta_p: float,
     return values, errors, converged
 
 
-class _SplitDensityBatch:
-    """Evaluates all k per-study split-lognormal densities at a vector of
-    hypothesised theta values in one shot (shape (n, k)), precomputing the
-    per-study constants. This sits in the innermost quadrature loop of the
-    random-effects likelihood, so it is written matrix-wise."""
-
-    def __init__(self, theta_hats, approxes):
-        self.obs_neg = np.array([th < 0.0 for th in theta_hats])[None, :]
-        s1 = np.array([a.sigma1 for a in approxes])
-        s2 = np.array([a.sigma2 for a in approxes])
-        th = np.asarray(theta_hats, dtype=float)
-        self.s1 = s1[None, :]
-        self.s2 = s2[None, :]
-        self.ratio12 = (s1 / s2)[None, :]
-        self.ratio21 = (s2 / s1)[None, :]
-        # observed log coordinates and Jacobian factors per study
-        with np.errstate(divide="ignore"):
-            self.x1 = np.log1p(th)[None, :]
-            self.x2 = np.log1p(-th)[None, :]
-        self.log_norm1 = (-np.log(s1 * math.sqrt(2.0 * math.pi)) - self.x1)
-        self.log_norm2 = (-np.log(s2 * math.sqrt(2.0 * math.pi)) - self.x2)
-
-    def densities(self, thetas: np.ndarray) -> np.ndarray:
-        tn = thetas[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            l1p = np.log1p(tn)
-            l1m = np.log1p(-tn)
-            neg = tn < 0.0
-            mu1 = np.where(neg, l1p, -self.ratio12 * l1m)
-            mu2 = np.where(neg, -self.ratio21 * l1p, l1m)
-            z1 = (self.x1 - mu1) / self.s1
-            z2 = (self.x2 - mu2) / self.s2
-            log_d = np.where(self.obs_neg,
-                             -0.5 * z1 * z1 + self.log_norm1,
-                             -0.5 * z2 * z2 + self.log_norm2)
-            out = np.exp(log_d)
-        return np.where(np.isfinite(out), out, 0.0)
-
-
 def fit_split_lognormal_model(tables: Sequence[StudyTable],
                               zero_correction: float = 0.5) -> MetaFit:
     """Joint likelihood of the observed theta-hat_i under their split-
@@ -477,8 +439,7 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
     sig2_list = []
     for t in tables:
         est = make_estimate(t, VarianceSpec("approx"), zero_correction=zero_correction)
-        _, s1sq, _, s2sq = delta_method_params(t, zero_correction)
-        approxes.append(SplitLognormalApprox(math.sqrt(s1sq), math.sqrt(s2sq)))
+        approxes.append(SplitLognormalApprox.from_table(t, zero_correction))
         theta_hats.append(est.theta_hat)
         sig2_list.append(est.sigma2)
     thetas = np.array(theta_hats)
@@ -491,7 +452,7 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
         width = 0.5 * max(ap.sigma1 * (1.0 + th), ap.sigma2 * (1.0 - th))
         psi_peaks.extend((peak, peak - 2.0 * width, peak + 2.0 * width,
                           peak - 8.0 * width, peak + 8.0 * width))
-    batch = _SplitDensityBatch(theta_hats, approxes)
+    batch = SplitDensityBatch(theta_hats, approxes)
 
     def point_mass_negll(theta: float) -> float:
         return -sum(split_loglik(th, theta, ap)

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -420,6 +422,12 @@ class TestMainEstimate:
                                        "ci_upper,note")
         assert len(out.splitlines()) == 5
 
+    def test_negative_zero_correction_rejected(self, tmp_path, capsys):
+        # validated as for analyze, not answered with every CI dropped
+        path = _write_dataset(tmp_path)
+        assert main(["estimate", "--input", path, "--zero-correction", "-1"]) == 1
+        assert "zero_correction" in capsys.readouterr().err
+
 
 class TestMainConvert:
     def test_with_ci(self, capsysbinary):
@@ -445,16 +453,49 @@ class TestMainConvert:
         assert "error:" in capsys.readouterr().err
 
 
-class TestThreadsEnv:
-    def test_valid_value_accepted(self, tmp_path, capsysbinary, monkeypatch):
-        monkeypatch.setenv("GRRR_THREADS", "4")
-        path = _write_dataset(tmp_path)
-        assert main(["analyze", "--input", path, "--model", "direct-dl"]) == 0
-        assert json.loads(capsysbinary.readouterr().out)["converged"] is True
+_ZERO_CELL_ROWS = _FOUR_ROWS + [
+    "single_zero,0,40,6,50",     # treatment arm without events
+    "double_zero,0,40,0,50",     # no events in either arm
+    "all_events,30,30,28,30",    # every treated patient has the event
+]
 
-    def test_invalid_value_rejected(self, tmp_path, capsys, monkeypatch):
-        path = _write_dataset(tmp_path)
-        for bad in ("abc", "0", "-3"):
-            monkeypatch.setenv("GRRR_THREADS", bad)
-            assert main(["analyze", "--input", path]) == 1
-            assert "GRRR_THREADS" in capsys.readouterr().err
+
+class TestEstimateMatchesAnalyze:
+    @pytest.mark.parametrize("variance", ["exact", "approx", "bootstrap"])
+    @pytest.mark.parametrize("zero_correction", ["0", "0.5"])
+    @pytest.mark.parametrize("dataset", ["bcg", "zero_cells"])
+    def test_per_study_records_agree(self, tmp_path, capsysbinary, dataset,
+                                     variance, zero_correction):
+        if dataset == "bcg":
+            path = str(resources.files("grrr.data").joinpath("bcg.csv"))
+        else:
+            path = _write_dataset(tmp_path, _ZERO_CELL_ROWS)
+        flags = ["--input", path, "--variance", variance, "--zero-correction",
+                 zero_correction, "--bootstrap-reps", "1000", "--seed", "5"]
+        assert main(["estimate", *flags]) == 0
+        estimated = json.loads(capsysbinary.readouterr().out)["studies"]
+        assert main(["analyze", "--model", "direct-dl", *flags]) == 0
+        analysed = json.loads(capsysbinary.readouterr().out)["studies"]
+        fields = ("study_id", "theta_hat", "sigma2", "ci_lower", "ci_upper",
+                  "ci_note")
+        assert ([[s[f] for f in fields] for s in estimated]
+                == [[s[f] for f in fields] for s in analysed])
+
+
+class TestReadmeSchema:
+    def test_json_example_keys_match_emitted_report(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("### JSON schema (`analyze`)", 1)[1]
+        example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+        tables = parse_dataset(
+            str(resources.files("grrr.data").joinpath("bcg.csv")))
+        report = run_analysis(AnalysisConfig(), tables)
+        emitted = json.loads(emit_report(report, "json", model="direct-ml"))
+
+        assert list(example) == list(emitted)
+        for key in ("pooled", "tau"):
+            assert list(example[key]) == list(emitted[key])
+        assert [list(s) for s in example["studies"]] == [
+            list(s) for s in emitted["studies"][:len(example["studies"])]]

@@ -4,19 +4,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from grrr.core import StudyTable
 from grrr.distribution import (
+    SplitDensityBatch,
     SplitLognormalApprox,
     cdf,
     confidence_interval,
     loglik,
     p_value,
     pdf,
-    pdf_at_thetas,
 )
 from grrr.errors import DomainError
-from grrr.kernels import integrate, std_normal_cdf
+from grrr.kernels import std_normal_cdf
 
 # (theta, sigma1, sigma2) configurations spanning both branches and a wide
 # scale range
@@ -32,16 +33,14 @@ _CONFIGS = [
 ]
 
 
-def _normalisation(theta, approx):
-    res = integrate(
-        lambda th: pdf_at_thetas_fixed(th, theta, approx),
-        tol=1e-11, lower=-1.0, upper=1.0, breakpoints=[0.0, theta],
-    )
-    return res
-
-
-def pdf_at_thetas_fixed(theta_hats, theta, approx):
-    return np.array([pdf(float(th), theta, approx) for th in theta_hats])
+def _mass(theta, approx, lower, upper, breakpoints=()):
+    """Oracle: scipy's adaptive quadrature of the scalar pdf over theta-hat
+    on [lower, upper], split at the breakpoints inside it."""
+    points = [p for p in breakpoints if lower < p < upper] or None
+    value, _ = scipy.integrate.quad(lambda th: pdf(th, theta, approx),
+                                    lower, upper, points=points,
+                                    epsabs=1e-11, epsrel=0.0, limit=200)
+    return value
 
 
 class TestPdf:
@@ -60,26 +59,22 @@ class TestPdf:
     def test_normalises_to_one(self):
         for theta, s1, s2 in _CONFIGS:
             approx = SplitLognormalApprox(s1, s2)
-            res = _normalisation(theta, approx)
-            assert res.value == pytest.approx(1.0, abs=1e-8), (theta, s1, s2)
+            value = _mass(theta, approx, -1.0, 1.0, breakpoints=[0.0, theta])
+            assert value == pytest.approx(1.0, abs=1e-8), (theta, s1, s2)
 
     def test_branch_mass_split(self):
         # P(theta-hat < 0) = Phi(-mu1/sigma1) by construction
         for theta, s1, s2 in _CONFIGS:
             approx = SplitLognormalApprox(s1, s2)
             mu1 = math.log1p(theta) if theta < 0 else -(s1 / s2) * math.log1p(-theta)
-            res = integrate(
-                lambda th: pdf_at_thetas_fixed(th, theta, approx),
-                tol=1e-11, lower=-1.0, upper=0.0,
-                breakpoints=[theta] if theta < 0 else [],
-            )
-            assert res.value == pytest.approx(std_normal_cdf(-mu1 / s1), abs=1e-8)
+            value = _mass(theta, approx, -1.0, 0.0, breakpoints=[theta])
+            assert value == pytest.approx(std_normal_cdf(-mu1 / s1), abs=1e-8)
 
     def test_vectorised_matches_scalar(self):
         approx = SplitLognormalApprox(0.3, 0.25)
         grid = np.linspace(-0.95, 0.95, 191)
         for th_hat in (-0.4, 0.0, 0.55):
-            vec = pdf_at_thetas(th_hat, grid, approx)
+            vec = SplitDensityBatch([th_hat], [approx]).densities(grid)[:, 0]
             scalar = [pdf(th_hat, float(t), approx) for t in grid]
             assert vec == pytest.approx(scalar, rel=1e-13)
 
@@ -137,10 +132,8 @@ class TestCdf:
         approx = SplitLognormalApprox(0.35, 0.2)
         theta = -0.3
         for cut in (-0.55, -0.1, 0.2):
-            res = integrate(
-                lambda th: pdf_at_thetas_fixed(th, theta, approx),
-                tol=1e-11, lower=-1.0, upper=cut, breakpoints=[theta, 0.0])
-            assert res.value == pytest.approx(cdf(cut, theta, approx), abs=1e-9)
+            value = _mass(theta, approx, -1.0, cut, breakpoints=[theta, 0.0])
+            assert value == pytest.approx(cdf(cut, theta, approx), abs=1e-9)
 
 
 class TestPValue:

@@ -12,12 +12,11 @@ import pytest
 import scipy.integrate
 
 from grrr.core import StudyTable
-from grrr.distribution import SplitLognormalApprox, pdf_at_thetas
+from grrr.distribution import SplitDensityBatch, SplitLognormalApprox, pdf
 from grrr.errors import DomainError
 from grrr.meta import (
     BetaMoments,
     MetaFit,
-    _SplitDensityBatch,
     beta_reparam,
     fit_beta_model,
     fit_direct_dl,
@@ -210,17 +209,19 @@ class TestBetaModel:
 
 class TestSplitDensityBatch:
     def test_matches_per_study_vectorised_pdf(self):
+        # the batch that fit_split_lognormal_model integrates, against the
+        # scalar pdf of each study
         tables = _SIX_TABLES[:3]
         approxes = [SplitLognormalApprox.from_table(t) for t in tables]
         theta_hats = [make_estimate(t, VarianceSpec("approx"),
                                     zero_correction=0.5).theta_hat
                       for t in tables]
-        batch = _SplitDensityBatch(theta_hats, approxes)
+        batch = SplitDensityBatch(theta_hats, approxes)
         grid = np.linspace(-0.99, 0.99, 397)
         got = batch.densities(grid)
         for col, (th, ap) in enumerate(zip(theta_hats, approxes)):
-            assert got[:, col] == pytest.approx(pdf_at_thetas(th, grid, ap),
-                                                rel=1e-12)
+            expected = [pdf(th, float(t), ap) for t in grid]
+            assert got[:, col] == pytest.approx(expected, rel=1e-12)
 
 
 class TestSplitLognormalModel:
@@ -240,7 +241,7 @@ class TestSplitLognormalModel:
             total = 0.0
             for th, ap in zip(theta_hats, approxes):
                 def f(psi):
-                    dens = float(pdf_at_thetas(th, np.array([2 * psi - 1]), ap)[0])
+                    dens = pdf(th, 2 * psi - 1, ap)
                     return dens * scipy.stats.beta.pdf(psi, shapes.alpha, shapes.beta)
 
                 val, _ = scipy.integrate.quad(f, 0.0, 1.0, limit=400,
@@ -275,10 +276,10 @@ class TestSplitLognormalModel:
         psi_bar = 0.5 * (1.0 + theta)
         shapes = beta_reparam(psi_bar, 0.25 * tau * tau)
         for th, ap in zip(theta_hats, approxes):
-            point = float(pdf_at_thetas(th, np.array([theta]), ap)[0])
+            point = pdf(th, theta, ap)
 
             def f(psi):
-                dens = float(pdf_at_thetas(th, np.array([2 * psi - 1]), ap)[0])
+                dens = pdf(th, 2 * psi - 1, ap)
                 return dens * scipy.stats.beta.pdf(psi, shapes.alpha, shapes.beta)
 
             val, _ = scipy.integrate.quad(

@@ -1,0 +1,63 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps grrr functions by the
+names grrr.cli and grrr.meta look them up under. These tests run an analysis
+under that tracer, so renaming or bypassing a wrapped name fails here rather
+than silently emptying a per-layer metric of the traced benchmark."""
+
+import importlib.util
+from collections import Counter
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+import grrr.cli as cli
+import grrr.meta as meta
+from grrr.cli import AnalysisConfig, emit_report, parse_dataset, run_analysis
+
+_TRACED = {
+    cli: ("make_estimate", "confidence_interval", "SplitLognormalApprox",
+          "fit_direct_ml", "fit_direct_dl", "fit_beta_model",
+          "fit_split_lognormal_model"),
+    meta: ("integrate_vector", "minimize", "log_beta", "make_estimate",
+           "split_loglik"),
+}
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _report_bytes(model):
+    tables = parse_dataset(str(resources.files("grrr.data").joinpath("bcg.csv")))
+    report = run_analysis(AnalysisConfig(model=model), tables)
+    return emit_report(report, "json", model=model), len(tables)
+
+
+@pytest.mark.parametrize("model", ["direct-dl", "beta"])
+def test_traced_analysis_is_unchanged_and_counted(model):
+    originals = {(mod, name): getattr(mod, name)
+                 for mod, names in _TRACED.items() for name in names}
+    untraced, k = _report_bytes(model)
+
+    tracer = _load_tracing().Tracer()
+    with tracer.patched():
+        traced, _ = _report_bytes(model)
+        tracer.flush()
+
+    assert traced == untraced
+    counts = Counter()
+    for per_op in tracer.counts.values():
+        counts.update(per_op)
+    assert counts["distribution.cis"] == k
+    assert counts["variance.estimates"] == k
+    spans = {rec[3] for rec in tracer.spans}
+    assert {"meta.fit", "distribution.from_table",
+            "distribution.confidence_interval", "variance.estimate"} <= spans
+    if model == "beta":
+        assert counts["meta.minimize_runs"] > 0
+        assert counts["kernels.log_beta_calls"] > 0
+    assert all(getattr(mod, name) is fn for (mod, name), fn in originals.items())

@@ -11,6 +11,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import grrr.variance as variance_module
 from grrr.core import StudyTable, estimate_theta
@@ -192,7 +193,9 @@ class TestVarianceAnalytic:
     def test_against_lognormal_moment_quadrature(self):
         # independent oracle: the same split approximation's first two
         # moments by direct numerical integration over the two branches
-        from grrr.kernels import integrate
+        def quad(f, lower, upper):
+            return scipy.integrate.quad(f, lower, upper, epsabs=1e-13,
+                                        epsrel=0.0, limit=200)[0]
 
         for tab in [(20, 100, 35, 120), (8, 60, 12, 55), (40, 90, 30, 100)]:
             t = _table(*tab)
@@ -202,15 +205,15 @@ class TestVarianceAnalytic:
             def moments(power):
                 # theta = e^x - 1 on x < 0 with x ~ N(mu1, s1^2);
                 # theta = 1 - e^y on y < 0 with y ~ N(mu2, s2^2)
-                neg = integrate(
-                    lambda x: (np.exp(x) - 1.0) ** power
-                    * np.exp(-0.5 * ((x - mu1) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi)),
-                    tol=1e-13, lower=mu1 - 10 * s1, upper=0.0)
-                pos = integrate(
-                    lambda y: (1.0 - np.exp(y)) ** power
-                    * np.exp(-0.5 * ((y - mu2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi)),
-                    tol=1e-13, lower=mu2 - 10 * s2, upper=0.0)
-                return neg.value + pos.value
+                neg = quad(
+                    lambda x: (math.exp(x) - 1.0) ** power
+                    * math.exp(-0.5 * ((x - mu1) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi)),
+                    mu1 - 10 * s1, 0.0)
+                pos = quad(
+                    lambda y: (1.0 - math.exp(y)) ** power
+                    * math.exp(-0.5 * ((y - mu2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi)),
+                    mu2 - 10 * s2, 0.0)
+                return neg + pos
 
             e1, e2 = moments(1), moments(2)
             assert variance_analytic(t) == pytest.approx(e2 - e1 * e1, abs=1e-10)
