@@ -4,8 +4,8 @@ The measure theta compares event probabilities p (control) and q
 (treatment) on a symmetric [-1, 1] scale: the relative shrinkage of the
 event probability when q < p, the relative shrinkage of the non-event
 probability when q > p. This package estimates theta from 2x2 tables,
-quantifies its sampling uncertainty three ways (exact enumeration,
-parametric bootstrap, analytic lognormal moments), approximates its
+quantifies its sampling uncertainty three ways (exact product-binomial
+sum, parametric bootstrap, analytic lognormal moments), approximates its
 sampling distribution by a split-lognormal law for tests and intervals,
 and pools studies under four random-effects models.
 """

@@ -17,7 +17,10 @@ class DatasetError(GrrrError):
 
 
 class ResourceLimitError(GrrrError):
-    """A computation would exceed a configured resource cap."""
+    """A computation would exceed a configured resource cap.
+
+    Kept for API compatibility: no computation in this package raises it.
+    """
 
 
 class ConvergenceError(GrrrError):

@@ -1,11 +1,13 @@
 """Within-study variance of the plug-in GRRR estimate, three ways.
 
-* ``variance_exact``     — full enumeration of E(theta^2) - E(theta)^2 over
-  Binomial(N1, p-hat) x Binomial(N2, q-hat). Binomial pmfs are built by the
+* ``variance_exact``     — E(theta - E theta)^2 over Binomial(N1, p-hat) x
+  Binomial(N2, q-hat), summed exactly. Binomial pmfs are built by the
   mode-anchored ratio recursion in linear space (values only decrease moving
   away from the mode, so there is no overflow), truncated below 1e-300 and
-  renormalised to sum 1. The enumeration grid is the outer product of the two
-  truncated supports; a cell cap bounds the materialised grid.
+  renormalised to sum 1. For each control count theta-hat is linear in the
+  treatment count on either side of the tie, so the double sum reduces to
+  prefix sums over the treatment pmf and one sum over the control pmf:
+  O(N1 + N2) time and memory, with no limit on arm size.
 * ``variance_bootstrap`` — parametric bootstrap of the same two binomials,
   seedable and deterministic (PCG64; control arm drawn first).
 * ``variance_analytic``  — closed-form approximation from the delta-method
@@ -29,12 +31,11 @@ from typing import Optional
 import numpy as np
 
 from .core import StudyTable, estimate_theta, theta_from_probs
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .kernels import make_rng, std_normal_cdf
 
 __all__ = [
     "PMF_FLOOR",
-    "DEFAULT_CELL_CAP",
     "VarianceSpec",
     "GrrrEstimate",
     "binomial_pmf_window",
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 PMF_FLOOR = 1e-300
-DEFAULT_CELL_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -149,39 +149,49 @@ def binomial_pmf_window(n: int, p: float, floor: float = PMF_FLOOR):
     return mode - len(dn), pmf
 
 
-def _theta_grid(i_start: int, n_i: int, n1: int, j_start: int, n_j: int, n2: int):
-    """theta-hat of every resampled table (i events / N1 control,
-    j events / N2 treatment) over the given index windows, branch decided by
-    exact integer cross products."""
-    i = np.arange(i_start, i_start + n_i, dtype=np.int64)
-    j = np.arange(j_start, j_start + n_j, dtype=np.int64)
-    in2 = (i * n2)[:, None]
-    jn1 = (j * n1)[None, :]
-    lt = jn1 < in2  # q-hat < p-hat
-    gt = jn1 > in2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_lt = jn1 / in2
-        ratio_gt = ((n2 - j) * n1)[None, :] / ((n1 - i) * n2)[:, None]
-    return np.where(lt, ratio_lt - 1.0, np.where(gt, 1.0 - ratio_gt, 0.0))
+def _exact_mean_var(n1: int, p: float, n2: int, q: float):
+    """E(theta-hat) and Var(theta-hat) over Binomial(n1, p) control counts i
+    and Binomial(n2, q) treatment counts j.
 
-
-def _exact_mean_var(n1: int, p: float, n2: int, q: float, cell_cap: int):
+    For fixed i, theta-hat = k (j - c) with tie point c = i n2 / n1 and slope
+    k = n1 / (i n2) for j <= c, n1 / ((n1 - i) n2) for j > c. A tie gives
+    k (j - c) = 0 = theta-hat, so it joins the lower branch, or the upper one
+    at i = 0, where the lower slope is infinite. Each branch's sums of q_j (j - c)^r then
+    expand into prefix sums of q_j (j - m)^r, r = 0, 1, 2, about the
+    treatment mean m.
+    """
     i_start, pv = binomial_pmf_window(n1, p)
     j_start, qv = binomial_pmf_window(n2, q)
-    if len(pv) * len(qv) > cell_cap:
-        raise ResourceLimitError(
-            f"exact variance grid has {len(pv)}x{len(qv)} cells, "
-            f"exceeding the cap of {cell_cap}")
-    theta = _theta_grid(i_start, len(pv), n1, j_start, len(qv), n2)
-    e1 = float(pv @ theta @ qv)
-    e2 = float(pv @ (theta * theta) @ qv)
-    return e1, max(0.0, e2 - e1 * e1)
+    j = np.arange(j_start, j_start + len(qv))
+    m = float((qv * j).sum())
+    a = j - m
+    prefix = np.zeros((3, len(qv) + 1))
+    np.cumsum(np.stack((qv, qv * a, qv * a * a)), axis=1, out=prefix[:, 1:])
+
+    i = np.arange(i_start, i_start + len(pv), dtype=np.int64)
+    in2 = i * n2
+    # first j above the tie, floor(c) + 1, from an exact integer division
+    split = np.clip(np.where(i > 0, in2 // n1 + 1, 0) - j_start, 0, len(qv))
+    lower = prefix[:, split]
+    branches = ((lower, np.divide(n1, in2, out=np.zeros(len(i)), where=i > 0)),
+                (prefix[:, -1:] - lower,
+                 np.divide(n1, (n1 - i) * n2, out=np.zeros(len(i)), where=i < n1)))
+    d = in2 / n1 - m
+    e1 = float(sum((pv * k * (s[1] - d * s[0])).sum() for s, k in branches))
+    # Var = E(theta-hat - e1)^2, on each branch k^2 sum_j q_j (j - m - e)^2
+    # with e = c - m + e1 / k. Unlike E(theta-hat^2) - e1^2, this loses no
+    # digits when the spread is small next to e1.
+    var = 0.0
+    for s, k in branches:
+        e = d + np.divide(e1, k, out=np.zeros(len(i)), where=k > 0)
+        var += float((pv * k * k * (s[2] - 2.0 * e * s[1] + e * e * s[0])).sum())
+    return e1, max(0.0, var)
 
 
-def variance_exact(table: StudyTable, cell_cap: int = DEFAULT_CELL_CAP) -> float:
+def variance_exact(table: StudyTable) -> float:
     """Exact variance of theta-hat under the plug-in product-binomial model."""
     _, var = _exact_mean_var(table.n_control, table.p_hat,
-                             table.n_treatment, table.q_hat, cell_cap)
+                             table.n_treatment, table.q_hat)
     return var
 
 
@@ -293,19 +303,18 @@ def variance_analytic(table: StudyTable) -> float:
 
 def make_estimate(table: StudyTable,
                   spec: VarianceSpec = VarianceSpec(),
-                  zero_correction: float = 0.0,
-                  cell_cap: int = DEFAULT_CELL_CAP) -> GrrrEstimate:
+                  zero_correction: float = 0.0) -> GrrrEstimate:
     """Bundle theta-hat, its within-study variance, and the delta-method
     variances for one study.
 
     With ``zero_correction = 0`` (the default, used by the direct fitters)
     tables keep their raw plug-ins: double-degenerate tables come back as
     (0, 0) with the degenerate flag set, single-boundary tables keep
-    theta-hat = +-1 with an enumerable variance, and the "approx" method
-    falls back to exact enumeration at the boundary. A positive
+    theta-hat = +-1 with an exact variance, and the "approx" method
+    falls back to the exact variance at the boundary. A positive
     ``zero_correction`` (beta / split-lognormal paths) replaces boundary
     tables' plug-in proportions with corrected ones before anything else is
-    computed; the enumeration then keeps the original arm sizes with the
+    computed; the exact variance then keeps the original arm sizes with the
     corrected probabilities.
     """
     degenerate = table.double_degenerate
@@ -325,14 +334,14 @@ def make_estimate(table: StudyTable,
 
     n1, n2 = table.n_control, table.n_treatment
     if spec.kind == "exact":
-        _, sigma2 = _exact_mean_var(n1, p, n2, q, cell_cap)
+        _, sigma2 = _exact_mean_var(n1, p, n2, q)
     elif spec.kind == "bootstrap":
         sigma2 = _bootstrap_probs(n1, p, n2, q, spec.replicates, spec.seed)
     else:  # approx
         if 0.0 < p < 1.0 and 0.0 < q < 1.0:
             sigma2 = _analytic_probs(p, q, n1c, n2c)
         else:
-            _, sigma2 = _exact_mean_var(n1, p, n2, q, cell_cap)
+            _, sigma2 = _exact_mean_var(n1, p, n2, q)
 
     if 0.0 < p < 1.0 and 0.0 < q < 1.0:
         _, s1sq, _, s2sq = _delta_params_probs(p, q, n1c, n2c)

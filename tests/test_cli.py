@@ -482,6 +482,26 @@ class TestEstimateMatchesAnalyze:
                 == [[s[f] for f in fields] for s in analysed])
 
 
+class TestMegaTrial:
+    """A 500k-per-arm trial next to streptokinase: the exact variance has no
+    size limit, so both commands answer it."""
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--model", "direct-ml", "--variance", "exact"],
+        ["estimate", "--variance", "exact"],
+    ])
+    def test_exact_variance_answers(self, tmp_path, capsysbinary, command):
+        rows = resources.files("grrr.data").joinpath(
+            "streptokinase.csv").read_text(encoding="utf-8").splitlines()[1:]
+        path = _write_dataset(tmp_path, rows + ["MEGA-500k,135000,500000,150000,500000"])
+        assert main([*command, "--input", path]) == 0
+        studies = json.loads(capsysbinary.readouterr().out)["studies"]
+        assert len(studies) == len(rows) + 1
+        mega = studies[-1]
+        assert mega["study_id"] == "MEGA-500k"
+        assert math.isfinite(mega["sigma2"]) and mega["sigma2"] > 0.0
+
+
 class TestReadmeSchema:
     def test_json_example_keys_match_emitted_report(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(

@@ -12,10 +12,13 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grrr.variance as variance_module
 from grrr.core import StudyTable, estimate_theta
-from grrr.errors import DomainError, ResourceLimitError
+from grrr.errors import DomainError
 from grrr.kernels import std_normal_pdf
 from grrr.variance import (
     GrrrEstimate,
@@ -130,13 +133,97 @@ class TestVarianceExact:
         p0 = (11.0 / 15.0) ** 15
         assert variance_exact(t) == pytest.approx(p0 * (1 - p0), rel=1e-12)
 
-    def test_cell_cap(self):
-        with pytest.raises(ResourceLimitError):
-            variance_exact(_table(400, 1000, 500, 1000), cell_cap=10_000)
-
     def test_large_table_runs(self):
         var = variance_exact(_table(505, 88391, 499, 88391))
         assert 0.0 < var < 0.02
+
+
+def _grid_mean_var(table, dtype=np.float64):
+    """E and Var of theta-hat over the outer product of the two binomial
+    supports, with scipy.stats.binom weights. Weights below 1e-40 are
+    dropped; together they cannot move the result at rel 1e-9."""
+    def support(n, p):
+        k = np.arange(n + 1)
+        w = scipy.stats.binom.pmf(k, n, p)
+        keep = w >= 1e-40
+        return k[keep], w[keep].astype(dtype)
+
+    n1, n2 = table.n_control, table.n_treatment
+    i, wi = support(n1, table.p_hat)
+    j, wj = support(n2, table.q_hat)
+    i, j = i[:, None], j[None, :]
+    lhs, rhs = (j * n1).astype(dtype), (i * n2).astype(dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(lhs < rhs, lhs / rhs - 1,
+                         np.where(lhs > rhs,
+                                  1 - ((n2 - j) * n1).astype(dtype)
+                                  / ((n1 - i) * n2).astype(dtype),
+                                  dtype(0)))
+    w = wi[:, None] * wj[None, :]
+    w /= w.sum()
+    mean = (w * theta).sum()
+    return float(mean), float((w * (theta - mean) ** 2).sum())
+
+
+# 135,000/500,000 treated vs 150,000/500,000 control: 24,083 x 23,330
+# support points, past the reach of any outer-product grid
+_MEGA = _table(135_000, 500_000, 150_000, 500_000)
+
+
+class TestVarianceExactLargeArms:
+    def test_mega_trial_against_bootstrap(self):
+        exact = variance_exact(_MEGA)
+        assert math.isfinite(exact) and exact > 0.0
+        boot = variance_bootstrap(_MEGA, replicates=100_000, seed=0)
+        assert abs(boot - exact) < 6.0 * exact * math.sqrt(2.0 / 100_000)
+
+    def test_mega_trial_against_analytic(self):
+        # the delta-method normals are accurate at this size
+        assert variance_exact(_MEGA) == pytest.approx(variance_analytic(_MEGA),
+                                                      rel=1e-4)
+
+    @pytest.mark.parametrize("tab", [(600, 2000, 700, 3000),
+                                     (250, 5000, 6000, 20_000),
+                                     (9100, 12_000, 2300, 8000)])
+    def test_matches_outer_product_grid(self, tab):
+        t = _table(*tab)
+        mean, var = variance_module._exact_mean_var(
+            t.n_control, t.p_hat, t.n_treatment, t.q_hat)
+        grid_mean, grid_var = _grid_mean_var(t)
+        assert mean == pytest.approx(grid_mean, rel=1e-9)
+        assert var == pytest.approx(grid_var, rel=1e-9)
+
+    def test_near_boundary_high_theta_against_extended_precision(self):
+        # theta-hat ~ 0.99 with variance ~ 7e-6: forming the variance as
+        # E(theta^2) - E(theta)^2 would cancel about five digits
+        t = _table(1310, 1317, 689, 2591)
+        assert t.q_hat > 0.99
+        _, ref = _grid_mean_var(t, np.longdouble)
+        assert variance_exact(t) == pytest.approx(ref, rel=1e-9)
+
+
+_ARM = st.integers(1, 80).flatmap(
+    lambda n: st.tuples(st.integers(0, n), st.just(n)))
+
+
+class TestVarianceExactProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(treatment=_ARM, control=_ARM)
+    def test_matches_brute_force(self, treatment, control):
+        t = _table(*treatment, *control)
+        assert abs(variance_exact(t) - _brute_force_var(t)) < 1e-10
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(treatment=_ARM, control=_ARM)
+    def test_complement_negates_mean_keeps_variance(self, treatment, control):
+        t = _table(*treatment, *control)
+        c = t.complemented()
+        mean, var = variance_module._exact_mean_var(
+            t.n_control, t.p_hat, t.n_treatment, t.q_hat)
+        c_mean, c_var = variance_module._exact_mean_var(
+            c.n_control, c.p_hat, c.n_treatment, c.q_hat)
+        assert abs(c_mean + mean) < 1e-12
+        assert abs(c_var - var) < 1e-12
 
 
 class TestVarianceBootstrap:
