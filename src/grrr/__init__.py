@@ -13,8 +13,8 @@ and pools studies under four random-effects models.
 from .core import (StudyTable, estimate_theta, mean_baseline_risk,
                    odds_ratio_to_theta, phi_to_theta, probs_to_phi,
                    q_from_p_theta, theta_from_probs)
-from .distribution import (SplitDensityBatch, SplitLognormalApprox, cdf,
-                           confidence_interval, loglik, p_value, pdf)
+from .distribution import (SplitLognormalApprox, cdf, confidence_interval,
+                           loglik, p_value, pdf)
 from .errors import (ConvergenceError, DatasetError, DomainError, GrrrError,
                      ResourceLimitError)
 from .meta import (BetaMoments, MetaFit, beta_reparam, fit_beta_model,
@@ -43,7 +43,6 @@ __all__ = [
     "delta_method_params",
     "SplitLognormalApprox",
     "pdf",
-    "SplitDensityBatch",
     "cdf",
     "loglik",
     "p_value",

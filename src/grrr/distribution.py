@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import StudyTable
 from .errors import DomainError
 from .kernels import std_normal_cdf, std_normal_quantile
@@ -39,7 +37,6 @@ from .variance import delta_method_params
 __all__ = [
     "SplitLognormalApprox",
     "pdf",
-    "SplitDensityBatch",
     "loglik",
     "cdf",
     "p_value",
@@ -109,46 +106,6 @@ def loglik(theta_hat: float, theta: float, approx: SplitLognormalApprox) -> floa
 def pdf(theta_hat: float, theta: float, approx: SplitLognormalApprox) -> float:
     """Density of theta-hat at a hypothesised true theta."""
     return math.exp(loglik(theta_hat, theta, approx))
-
-
-class SplitDensityBatch:
-    """Vectorised ``pdf`` for k observations at once: ``densities(thetas)``
-    is the (n, k) array of each observed theta-hat's density at each
-    hypothesised theta, 0 where theta is at or beyond +-1. The per-study
-    constants are computed once, since this sits in the innermost
-    quadrature loop of the random-effects likelihood."""
-
-    def __init__(self, theta_hats, approxes):
-        self.obs_neg = np.array([th < 0.0 for th in theta_hats])[None, :]
-        s1 = np.array([a.sigma1 for a in approxes])
-        s2 = np.array([a.sigma2 for a in approxes])
-        th = np.asarray(theta_hats, dtype=float)
-        self.s1 = s1[None, :]
-        self.s2 = s2[None, :]
-        self.ratio12 = (s1 / s2)[None, :]
-        self.ratio21 = (s2 / s1)[None, :]
-        # observed log coordinates and Jacobian factors per study
-        with np.errstate(divide="ignore"):
-            self.x1 = np.log1p(th)[None, :]
-            self.x2 = np.log1p(-th)[None, :]
-        self.log_norm1 = (-np.log(s1 * _SQRT_TWO_PI) - self.x1)
-        self.log_norm2 = (-np.log(s2 * _SQRT_TWO_PI) - self.x2)
-
-    def densities(self, thetas: np.ndarray) -> np.ndarray:
-        tn = thetas[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            l1p = np.log1p(tn)
-            l1m = np.log1p(-tn)
-            neg = tn < 0.0
-            mu1 = np.where(neg, l1p, -self.ratio12 * l1m)
-            mu2 = np.where(neg, -self.ratio21 * l1p, l1m)
-            z1 = (self.x1 - mu1) / self.s1
-            z2 = (self.x2 - mu2) / self.s2
-            log_d = np.where(self.obs_neg,
-                             -0.5 * z1 * z1 + self.log_norm1,
-                             -0.5 * z2 * z2 + self.log_norm2)
-            out = np.exp(log_d)
-        return np.where(np.isfinite(out), out, 0.0)
 
 
 def cdf(theta_hat: float, theta: float, approx: SplitLognormalApprox) -> float:

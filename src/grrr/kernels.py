@@ -1,5 +1,5 @@
-"""Numeric kernels: normal CDF/quantile, log-beta, adaptive quadrature,
-derivative-free minimisation, and a seeded random generator.
+"""Numeric kernels: normal CDF/quantile, log-beta, fixed Gauss-Kronrod
+quadrature, derivative-free minimisation, and a seeded random generator.
 
 Everything above this module (variance engine, sampling distribution,
 meta-analysis fitters) goes through these entry points, so their accuracy
@@ -8,16 +8,15 @@ contracts are tested here once:
 * ``std_normal_cdf``        abs error < 1e-15 on |x| <= 8
 * ``std_normal_quantile``   Phi(quantile(p)) = p to 1e-12
 * ``log_beta``              error < 1e-13 of the largest log-gamma term
-* ``integrate_vector``      adaptive Gauss-Kronrod (G7,K15) over shared
-                            panels, conservative error estimates,
-                            breakpoint support
+* ``integrate_vector``      one fixed composite Gauss-Kronrod (G7,K15)
+                            rule per row on caller-given panels, in log
+                            space, with each row's K15 - G7 error estimate
 * ``minimize``              Nelder-Mead simplex (scipy), deterministic
 * ``make_rng``              PCG64-backed, reproducible per seed
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -128,7 +127,7 @@ def log_beta(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod quadrature
+# fixed composite Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
 
 # (G7, K15) nodes on [-1, 1], ascending; Gauss points sit at odd indices.
@@ -146,112 +145,58 @@ _GK_WEIGHTS = np.array([
     0.190350578064785, 0.169004726639267, 0.140653259715525,
     0.104790010322250, 0.063092092629979, 0.022935322010529,
 ])
-_G_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
+# G7 weights spread onto the 15 nodes (zero at the Kronrod-only ones), so
+# the difference K15 - G7 is one weighted sum
+_K_MINUS_G = _GK_WEIGHTS - np.array([
+    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
+    0.381830050505119, 0.0, 0.417959183673469, 0.0, 0.381830050505119,
+    0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0,
 ])
 
 
-def _eval_panel(f, a: float, b: float):
-    """Evaluate one (G7,K15) panel; returns (kronrod_vec, err_vec, n_evals).
-
-    ``f`` maps an array of abscissae to an (n, m) array (m components
-    integrated simultaneously over identical panels).
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _GK_NODES
-    fx = np.asarray(f(x), dtype=float)
-    if fx.ndim == 1:
-        fx = fx[:, None]
-    if not np.all(np.isfinite(fx)):
-        raise DomainError(f"integrate_vector: non-finite integrand value on [{a}, {b}]")
-    kron = half * (_GK_WEIGHTS @ fx)
-    gauss = half * (_G_WEIGHTS @ fx[1::2])
-    return kron, np.abs(kron - gauss), x.shape[0]
-
-
 def integrate_vector(
-    f: Callable[[np.ndarray], np.ndarray],
-    n_components: int,
+    log_f: Callable[[np.ndarray], np.ndarray],
+    edges: np.ndarray,
     tol: float = 1e-10,
-    lower: float = 0.0,
-    upper: float = 1.0,
-    breakpoints: Sequence[float] = (),
-    max_panels: int = 4096,
-    stall_limit: int = 30,
 ) -> tuple[np.ndarray, np.ndarray, bool, int]:
-    """Adaptively integrate an (n, m)-valued integrand over [lower, upper].
+    """Integrate exp(log_f) row by row with one fixed composite (G7,K15)
+    rule on given panels; nothing is refined.
 
-    All components share the panel structure; refinement always splits the
-    panel with the largest single-component error until every component's
-    summed error estimate is <= tol (or the panel budget runs out). Returns
-    (values, error_estimates, converged, evaluations); summation over panels
-    is done in fixed left-to-right order, so results do not depend on the
-    refinement schedule's internal ordering.
+    ``edges`` is an (m, p + 1) array whose row i holds the non-decreasing
+    panel edges of integrand i; a panel of zero width contributes nothing,
+    so rows with fewer panels are padded by repeating an edge. ``log_f``
+    maps an (m, n) array of abscissae (row i: nodes of row i's panels) to
+    the (m, n) logarithms of the integrands. Each row is scaled by its
+    largest value before ``exp``, so an integrand may lie at any magnitude.
 
-    When ``stall_limit`` consecutive splits fail to shrink the total error
-    estimate, the integrand is roundoff-noise limited and refinement stops
-    early (reported as non-convergence): further bisection would only burn
-    the panel budget without gaining accuracy.
+    Returns (log_values, errors, converged, evaluations): the logarithms of
+    the m integrals; each row's summed panel |K15 - G7| relative to its
+    integral, which estimates the absolute error of its log value;
+    whether every error is <= tol; and the m * p * 15 integrand values
+    computed. Rows are reduced along their own axis in a fixed order, so a
+    row's result does not depend on its position among the others.
     """
     if not (tol > 0.0) or math.isnan(tol):
         raise DomainError(f"integrate_vector: tol must be > 0, got {tol!r}")
-    if not (lower < upper) or math.isinf(lower) or math.isinf(upper):
-        raise DomainError(f"integrate_vector: bad interval [{lower}, {upper}]")
-
-    edges = [lower]
-    for pt in sorted(set(float(p) for p in breakpoints)):
-        if lower < pt < upper:
-            edges.append(pt)
-    edges.append(upper)
-
-    heap = []  # (-max_component_err, tie_counter, a, b, kron_vec, err_vec)
-    counter = 0
-    evals = 0
-    total_err = np.zeros(n_components)  # running sum; recomputed exactly at the end
-    for a, b in zip(edges[:-1], edges[1:]):
-        kron, err, n = _eval_panel(f, a, b)
-        evals += n
-        total_err += err
-        heapq.heappush(heap, (-float(err.max()), counter, a, b, kron, err))
-        counter += 1
-
-    stuck = []  # panels too narrow to split further
-    stalled = 0
-    best_worst = math.inf
-    while len(heap) + len(stuck) < max_panels and not np.all(total_err <= tol):
-        neg_err, _, a, b, kron, err = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if not (a < mid < b) or neg_err == 0.0:
-            stuck.append((neg_err, counter, a, b, kron, err))
-            if not heap:
-                break
-            continue
-        total_err -= err
-        for lo, hi in ((a, mid), (mid, b)):
-            kron_c, err_c, n = _eval_panel(f, lo, hi)
-            evals += n
-            total_err += err_c
-            heapq.heappush(heap, (-float(err_c.max()), counter, lo, hi, kron_c, err_c))
-            counter += 1
-        worst = float(total_err.max())
-        if worst < 0.999 * best_worst:
-            best_worst = worst
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= stall_limit:
-                break
-
-    panels = sorted(heap + stuck, key=lambda item: (item[2], item[3]))
-    values = np.zeros(n_components)
-    errors = np.zeros(n_components)
-    for _, _, _, _, kron, err in panels:
-        values += kron
-        errors += err
-    return values, errors, bool(np.all(errors <= tol)), evals
+    edges = np.asarray(edges, dtype=float)
+    if (edges.ndim != 2 or edges.shape[1] < 2 or not np.all(np.isfinite(edges))
+            or np.any(edges[:, 1:] < edges[:, :-1])
+            or not np.all(edges[:, -1] > edges[:, 0])):
+        raise DomainError("integrate_vector: edges must be finite, non-decreasing "
+                          "rows of at least two values spanning a positive width")
+    m, p = edges.shape[0], edges.shape[1] - 1
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+    log_fx = np.asarray(log_f((mid + half * _GK_NODES).reshape(m, p * 15)), dtype=float)
+    if log_fx.shape != (m, p * 15) or not np.all(np.isfinite(log_fx)):
+        raise DomainError("integrate_vector: log integrand must be finite, "
+                          "one value per node")
+    top = log_fx.max(axis=1)
+    fx = np.exp(log_fx - top[:, None]).reshape(m, p, 15) * half
+    kron = (fx * _GK_WEIGHTS).sum(axis=-1).sum(axis=-1)
+    diff = np.abs((fx * _K_MINUS_G).sum(axis=-1)).sum(axis=-1)
+    errors = diff / kron
+    return top + np.log(kron), errors, bool(np.all(errors <= tol)), m * p * 15
 
 
 # ---------------------------------------------------------------------------

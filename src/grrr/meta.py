@@ -9,7 +9,9 @@
 * ``fit_split_lognormal_model`` — the split-lognormal density of each
   theta-hat_i integrated over a Beta random-effects law for
   psi_i = (1 + theta_i)/2 with mean (1 + theta)/2 and variance tau^2/4
-  (shared shapes); tau = 0 degenerates to the point-mass likelihood.
+  (shared shapes); tau = 0 degenerates to the point-mass likelihood. Each
+  study's integral is taken in the study's own Gaussian coordinate, where
+  its density is exactly normal, with one fixed composite (G7,K15) rule.
 
 All likelihood fits share one driver: Nelder-Mead on transformed
 coordinates u = atanh(theta), v = ln(tau + eps); deterministic, sign-
@@ -18,7 +20,10 @@ errors from a central-difference Hessian on the natural scale with step
 max(1e-4, 1e-4 |param|). A boundary solution (tau-hat < 1e-6) is reported
 as tau-hat = 0 with se_tau = 0 and se_theta from the one-dimensional theta
 curvature at tau = 0. Infeasible moment proposals (Beta variance >= mean
-times complement) are rejected with a graded penalty, never a crash.
+times complement) are rejected with a graded penalty, never a crash. A fit
+is ``converged`` when the optimizer converged and, for the split-lognormal
+model, the quadrature met its tolerance at the optimum and at every point
+of the Hessian's stencil.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import StudyTable
-from .distribution import (SplitDensityBatch, SplitLognormalApprox,
-                           loglik as split_loglik)
+from .distribution import SplitLognormalApprox, loglik as split_loglik
 from .errors import ConvergenceError, DomainError
 from .kernels import integrate_vector, log_beta, minimize
 from .variance import GrrrEstimate, VarianceSpec, make_estimate
@@ -51,7 +55,6 @@ _TAU_BOUNDARY = 1e-6     # below this, tau-hat is reported as exactly 0
 _THETA_CAP = 1.0 - 1e-12
 _PENALTY = 1e10
 _RESTART_OFFSETS = ((0.0, 0.0), (0.35, 0.3), (-0.35, 0.3), (0.0, -0.6))
-_LIKELIHOOD_QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,16 +148,18 @@ def _usable(estimates: Sequence[GrrrEstimate], method: str,
 
 
 def _q_statistics(thetas: np.ndarray, sig2: np.ndarray):
-    """Cochran's Q machinery shared by DL and the ML starting values."""
+    """Cochran's Q machinery shared by DL and the likelihood fits' starting
+    values: (fixed-effect mean, Q, df, C, DL tau^2, I^2). Sums are exact
+    (``math.fsum``), so they do not depend on the order of the studies."""
     w = 1.0 / sig2
-    sw = w.sum()
-    theta_fe = float((w * thetas).sum() / sw)
-    q = float((w * (thetas - theta_fe) ** 2).sum())
+    sw = math.fsum(w)
+    theta_fe = math.fsum(w * thetas) / sw
+    q = math.fsum(w * (thetas - theta_fe) ** 2)
     df = len(thetas) - 1
-    c = float(sw - (w * w).sum() / sw)
+    c = sw - math.fsum(w * w) / sw
     tau2 = max(0.0, (q - df) / c)
     i2 = 0.0 if q <= 0.0 else max(0.0, 100.0 * (q - df) / q)
-    return q, df, c, tau2, min(i2, 100.0)
+    return theta_fe, q, df, c, tau2, min(i2, 100.0)
 
 
 def _clip_theta(x: float) -> float:
@@ -162,33 +167,43 @@ def _clip_theta(x: float) -> float:
 
 
 def _hessian_se(negll, theta_hat: float, tau_hat: float, boundary: bool):
-    """Standard errors from the observed information (natural scale)."""
+    """Standard errors from the observed information (natural scale), and
+    the (theta, tau) points of the difference stencil."""
+    stencil = []
+
+    def f(theta, tau):
+        stencil.append((theta, tau))
+        return negll(theta, tau)
+
     h_t = max(1e-4, 1e-4 * abs(theta_hat))
-    f0 = negll(theta_hat, tau_hat)
-    d2t = (negll(theta_hat + h_t, tau_hat) - 2.0 * f0
-           + negll(theta_hat - h_t, tau_hat)) / (h_t * h_t)
+    f0 = f(theta_hat, tau_hat)
+    d2t = (f(theta_hat + h_t, tau_hat) - 2.0 * f0
+           + f(theta_hat - h_t, tau_hat)) / (h_t * h_t)
     if boundary:
         if d2t <= 0.0 or not math.isfinite(d2t):
             raise ConvergenceError("theta curvature not positive at the optimum")
-        return 1.0 / math.sqrt(d2t), 0.0
+        return 1.0 / math.sqrt(d2t), 0.0, stencil
     h_u = max(1e-4, 1e-4 * abs(tau_hat))
     if tau_hat - h_u < 0.0:
         h_u = 0.5 * tau_hat
-    d2u = (negll(theta_hat, tau_hat + h_u) - 2.0 * f0
-           + negll(theta_hat, tau_hat - h_u)) / (h_u * h_u)
-    dtu = (negll(theta_hat + h_t, tau_hat + h_u)
-           - negll(theta_hat + h_t, tau_hat - h_u)
-           - negll(theta_hat - h_t, tau_hat + h_u)
-           + negll(theta_hat - h_t, tau_hat - h_u)) / (4.0 * h_t * h_u)
+    d2u = (f(theta_hat, tau_hat + h_u) - 2.0 * f0
+           + f(theta_hat, tau_hat - h_u)) / (h_u * h_u)
+    dtu = (f(theta_hat + h_t, tau_hat + h_u)
+           - f(theta_hat + h_t, tau_hat - h_u)
+           - f(theta_hat - h_t, tau_hat + h_u)
+           + f(theta_hat - h_t, tau_hat - h_u)) / (4.0 * h_t * h_u)
     det = d2t * d2u - dtu * dtu
     if det <= 0.0 or d2t <= 0.0 or not math.isfinite(det):
         raise ConvergenceError("observed information not positive definite")
-    return math.sqrt(d2u / det), math.sqrt(d2t / det)
+    return math.sqrt(d2u / det), math.sqrt(d2t / det), stencil
 
 
 def _fit_two_param(method: str, negll, theta0: float, tau0: float,
-                   n_used: int, i_squared: Optional[float]) -> MetaFit:
-    """Shared ML driver over (theta, tau)."""
+                   n_used: int, i_squared: Optional[float],
+                   accurate=lambda theta, tau: True) -> MetaFit:
+    """Shared ML driver over (theta, tau). The fit is reported converged
+    when the optimizer converged and ``accurate`` holds at the optimum and
+    at every point of the Hessian's difference stencil."""
 
     def obj(x):
         theta = _clip_theta(math.tanh(x[0]))
@@ -208,7 +223,7 @@ def _fit_two_param(method: str, negll, theta0: float, tau0: float,
     boundary = tau_hat < _TAU_BOUNDARY
     if boundary:
         tau_hat = 0.0
-    se_theta, se_tau = _hessian_se(negll, theta_hat, tau_hat, boundary)
+    se_theta, se_tau, stencil = _hessian_se(negll, theta_hat, tau_hat, boundary)
     return MetaFit(
         method=method,
         theta_hat=theta_hat,
@@ -218,7 +233,7 @@ def _fit_two_param(method: str, negll, theta0: float, tau0: float,
         i_squared=i_squared,
         loglik=-final.value,
         n_studies_used=n_used,
-        converged=final.converged,
+        converged=final.converged and all(accurate(t, u) for t, u in stencil),
         restart_thetas=tuple(_clip_theta(math.tanh(r.argmin[0])) for r in runs),
     )
 
@@ -232,7 +247,7 @@ def fit_direct_dl(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     kept = _usable(estimates, "fit_direct_dl", require_interior=False)
     thetas = np.array([e.theta_hat for e in kept])
     sig2 = np.array([e.sigma2 for e in kept])
-    q, df, c, tau2, i2 = _q_statistics(thetas, sig2)
+    _, q, df, c, tau2, i2 = _q_statistics(thetas, sig2)
     w = 1.0 / (sig2 + tau2)
     sw = w.sum()
     return MetaFit(
@@ -253,7 +268,7 @@ def fit_direct_ml(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     kept = _usable(estimates, "fit_direct_ml", require_interior=False)
     thetas = np.array([e.theta_hat for e in kept])
     sig2 = np.array([e.sigma2 for e in kept])
-    _, _, _, tau2_dl, i2 = _q_statistics(thetas, sig2)
+    theta0, _, _, _, tau2_dl, i2 = _q_statistics(thetas, sig2)
 
     log_two_pi = math.log(2.0 * math.pi)
 
@@ -262,8 +277,6 @@ def fit_direct_ml(estimates: Sequence[GrrrEstimate]) -> MetaFit:
         return 0.5 * float(np.sum(np.log(s) + (thetas - theta) ** 2 / s)
                            + len(kept) * log_two_pi)
 
-    w = 1.0 / sig2
-    theta0 = float((w * thetas).sum() / w.sum())
     return _fit_two_param("direct-ml", negll, theta0, math.sqrt(tau2_dl),
                           len(kept), i2)
 
@@ -283,7 +296,7 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     log_psi = np.log(psi_hat)
     log_psic = np.log1p(-psi_hat)
     var_quarter = 0.25 * sig2
-    _, _, _, tau2_dl, _ = _q_statistics(thetas, sig2)
+    theta0, _, _, _, tau2_dl, _ = _q_statistics(thetas, sig2)
 
     def negll(theta: float, tau: float) -> float:
         psi_bar = 0.5 * (1.0 + theta)
@@ -299,8 +312,6 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
         ll = float(np.sum((a - 1.0) * log_psi + (b - 1.0) * log_psic - ln_b))
         return -ll
 
-    w = 1.0 / sig2
-    theta0 = float((w * thetas).sum() / w.sum())
     return _fit_two_param("beta", negll, theta0, math.sqrt(tau2_dl),
                           len(kept), None)
 
@@ -309,117 +320,208 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
 # method 3: split-lognormal likelihood with a Beta random-effects law
 # ---------------------------------------------------------------------------
 
-def _beta_segment_integrals(fvec_builder, alpha_p: float, beta_p: float,
-                            log_b: float, n_comp: int,
-                            inner_points: Sequence[float], tol: float):
-    """Integrate base(psi) times the *normalised* Beta(alpha, beta) density
-    over (0, 1), where ``fvec_builder(psi)`` returns base(psi) with shape
-    (n, n_comp). The density's power factors and the -ln B normaliser are
-    fused into one exponent so that extreme shapes neither overflow nor
-    underflow prematurely. The domain is split at 1/2 and a half whose
-    shape exponent is < 1 is transformed (psi = t^(1/alpha), mirrored for
-    beta) so endpoint singularities integrate smoothly."""
-    values = np.zeros(n_comp)
-    errors = np.zeros(n_comp)
-    converged = True
+_LN2 = math.log(2.0)
+_LN_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_SIDES = np.array([-1.0, 1.0])   # column 0: u <= 0, column 1: u >= 0
+_GEOMETRIC = 0.5 * 3.0 ** np.arange(5)   # panel edges at 0.5, 1.5, ..., 40.5 scales
+_OFFSETS = np.concatenate([-_GEOMETRIC[::-1], _GEOMETRIC])
+_TAIL_DROP = 40.0   # window ends: the log integrand this far below its peak
+_STEPS = 60         # cap on Newton iterations and on window doublings
+_SPLIT_QUAD_TOL = 1e-5   # K15 - G7 relative to the integral
 
-    # Interior breakpoints of interest: per-study density peaks, the beta
-    # mode, and brackets around the mode at multiples of the beta standard
-    # deviation. The brackets matter when the beta law is a narrow spike:
-    # without panel edges nearby, every quadrature node could miss it and
-    # the panel would be accepted as converged with zero mass.
-    pts = [p for p in inner_points]
-    window = None
-    if alpha_p > 1.0 and beta_p > 1.0:
-        mode = (alpha_p - 1.0) / (alpha_p + beta_p - 2.0)
-        ab = alpha_p + beta_p
-        sd = math.sqrt(alpha_p * beta_p / (ab * ab * (ab + 1.0)))
-        pts.append(mode)
-        for j in (-32.0, -8.0, -2.0, -1.0, 1.0, 2.0, 8.0, 32.0):
-            pts.append(mode + j * sd)
-        # The log-density is concave for shapes > 1, so the mass beyond
-        # mode +- 40 sd is negligible at double precision. When that window
-        # is interior it becomes the integration domain: the bare-mass
-        # column is integrated on the same panels, so the truncated tail
-        # cancels out of the normalised ratios.
-        lo, hi = mode - 40.0 * sd, mode + 40.0 * sd
-        if 0.0 < lo and hi < 1.0:
-            window = (lo, hi)
-    pts = sorted({p for p in pts if 0.0 < p < 1.0})
 
-    def density(psi):
-        with np.errstate(divide="ignore"):
-            return np.exp((alpha_p - 1.0) * np.log(psi)
-                          + (beta_p - 1.0) * np.log1p(-psi) - log_b)
-
-    if window is not None:
-        lo, hi = window
-        # Anchoring the log density at the mode removes the catastrophic
-        # cancellation of (alpha-1) ln(psi) against (beta-1) ln(1-psi) for
-        # extreme shapes: the linear terms of the two log1p expansions
-        # cancel exactly, so only the harmless constant part (absorbed by
-        # the shared-panel normalisation) keeps any cancellation error.
-        ab2 = alpha_p + beta_p - 2.0
-        log_fm = ((alpha_p - 1.0) * math.log(mode)
-                  + (beta_p - 1.0) * math.log1p(-mode) - log_b)
-
-        def g_window(psi):
-            delta = psi - mode
-            log_rel = ab2 * (mode * np.log1p(delta / mode)
+def _log_weight(u, a, b, r, mode=None):
+    """ln[Beta(phi; a, b) |dphi/du|] along a study's Gaussian coordinate u,
+    where phi(u) = e^u / 2 for u <= 0 and 1 - phi(u) = e^(-r u) / 2 for
+    u > 0. Without ``mode`` the -ln B(a, b) term is left to the caller.
+    With ``mode`` (a, b > 1) the Beta part is anchored at its mode, in a
+    form whose linear terms cancel exactly, and its value at the mode is
+    dropped: at extreme shapes (a - 1) ln phi and (b - 1) ln(1 - phi) would
+    otherwise cancel catastrophically."""
+    right = u > 0.0
+    log_t = -np.where(right, r, 1.0) * np.abs(u) - _LN2
+    t = np.exp(log_t)   # phi on the left, 1 - phi on the right
+    log_jac = np.where(right, np.log(r) + log_t, log_t)
+    if mode is None:
+        l1t = np.log1p(-t)
+        return ((a - 1.0) * np.where(right, l1t, log_t)
+                + (b - 1.0) * np.where(right, log_t, l1t) + log_jac)
+    delta = np.where(right, (1.0 - mode) - t, t - mode)
+    return ((a + b - 2.0) * (mode * np.log1p(delta / mode)
                              + (1.0 - mode) * np.log1p(-delta / (1.0 - mode)))
-            return fvec_builder(psi) * np.exp(log_rel + log_fm)[:, None]
+            + log_jac)
 
-        bps = [p for p in pts if lo < p < hi]
-        return integrate_vector(g_window, n_comp, tol=tol,
-                                lower=lo, upper=hi, breakpoints=bps)[:3]
 
-    # left half (0, 1/2]
-    if alpha_p < 1.0:
-        top = 0.5 ** alpha_p
+def _u_of_phi(phi, r):
+    """The inverse of phi(u): closed form and monotone."""
+    return np.where(phi <= 0.5, np.log(2.0 * phi), -np.log(2.0 * (1.0 - phi)) / r)
 
-        def g_left(t):
-            psi = t ** (1.0 / alpha_p)
-            w = np.exp((beta_p - 1.0) * np.log1p(-psi) - log_b) / alpha_p
-            return fvec_builder(psi) * w[:, None]
 
-        bps = [p ** alpha_p for p in pts if p < 0.5]
-        v, e, ok, _ = integrate_vector(g_left, n_comp, tol=0.5 * tol,
-                                       lower=0.0, upper=top, breakpoints=bps)
-    else:
-        def g_left(psi):
-            return fvec_builder(psi) * density(psi)[:, None]
+class _SplitMarginal:
+    """Each study's split-lognormal factor is exactly a normal density in
+    its own Gaussian coordinate: for theta-hat_i < 0, x = ln(1 + theta-hat_i)
+    and u = mu1(theta) give N(x; u, sigma1) / (1 + theta-hat_i); theta-hat_i
+    >= 0 mirrors this with x = ln(1 - theta-hat_i), mu2, sigma2, phi = 1 - psi
+    and the Beta shapes swapped. So a study's marginal likelihood is the
+    integral over u of that normal density times Beta(phi(u)) |dphi/du|,
+    which is bounded and has one kink, at u = 0: no endpoint transform is
+    needed. ``log_terms`` integrates all studies at once, each with one
+    fixed composite (G7,K15) rule on its own panels. Per-study values are
+    (k, 1) columns."""
 
-        bps = [p for p in pts if p < 0.5]
-        v, e, ok, _ = integrate_vector(g_left, n_comp, tol=0.5 * tol,
-                                       lower=0.0, upper=0.5, breakpoints=bps)
-    values += v
-    errors += e
-    converged &= ok
+    def __init__(self, theta_hats, approxes):
+        th = np.asarray(theta_hats, dtype=float)[:, None]
+        s1 = np.array([ap.sigma1 for ap in approxes])[:, None]
+        s2 = np.array([ap.sigma2 for ap in approxes])[:, None]
+        self.mirrored = th >= 0.0
+        with np.errstate(divide="ignore"):
+            self.x = np.where(self.mirrored, np.log1p(-th), np.log1p(th))
+        s = np.where(self.mirrored, s2, s1)
+        self.precision = 1.0 / (s * s)
+        self.r = np.where(self.mirrored, s1 / s2, s2 / s1)
+        self.log_norm = -np.log(s) - _LN_SQRT_TWO_PI - self.x
 
-    # right half [1/2, 1): mirror with u = (1 - psi)^beta
-    if beta_p < 1.0:
-        top = 0.5 ** beta_p
+    def log_normal(self, u):
+        """ln of each study's split-lognormal density at theta(u)."""
+        return -0.5 * self.precision * (self.x - u) ** 2 + self.log_norm
 
-        def g_right(u):
-            psi = 1.0 - u ** (1.0 / beta_p)
-            with np.errstate(divide="ignore"):
-                w = np.exp((alpha_p - 1.0) * np.log(psi) - log_b) / beta_p
-            return fvec_builder(psi) * w[:, None]
+    def log_terms(self, alpha: float, beta: float):
+        """ln of each study's marginal likelihood under a Beta(alpha, beta)
+        law for psi, and whether every integral met the rule's tolerance.
 
-        bps = [(1.0 - p) ** beta_p for p in pts if p >= 0.5]
-        v, e, ok, _ = integrate_vector(g_right, n_comp, tol=0.5 * tol,
-                                       lower=0.0, upper=top, breakpoints=bps)
-    else:
-        def g_right(psi):
-            return fvec_builder(psi) * density(psi)[:, None]
+        A narrow Beta (mode +- 40.5 sd inside (0, 1)) is integrated in the
+        mode-anchored form, and each study's integral is divided by the bare
+        Beta mass integrated on the same nodes, which cancels the rounding
+        of phi(u) and the truncated tails; a wide one carries
+        -ln B(alpha, beta) directly."""
+        k = len(self.x)
+        x, precision, r = self.x, self.precision, self.r
+        a = np.where(self.mirrored, beta, alpha)   # shapes of phi
+        b = np.where(self.mirrored, alpha, beta)
+        ab = alpha + beta
+        sd = math.sqrt(alpha * beta / (ab * ab * (ab + 1.0)))
+        narrow = False
+        if alpha > 1.0 and beta > 1.0:
+            psi_mode = (alpha - 1.0) / (ab - 2.0)
+            narrow = (0.0 < psi_mode - _GEOMETRIC[-1] * sd
+                      and psi_mode + _GEOMETRIC[-1] * sd < 1.0)
+        if narrow:
+            mode, offset = (a - 1.0) / (a + b - 2.0), 0.0   # the mode of phi
+        else:
+            mode, offset = None, -log_beta(alpha, beta)
 
-        bps = [p for p in pts if p >= 0.5]
-        v, e, ok, _ = integrate_vector(g_right, n_comp, tol=0.5 * tol,
-                                       lower=0.5, upper=1.0, breakpoints=bps)
-    values += v
-    errors += e
-    converged &= ok
-    return values, errors, converged
+        def log_f(u):
+            return self.log_normal(u) + _log_weight(u, a, b, r, mode) + offset
+
+        edges = _panel_edges(log_f, x, precision, a, b, r, sd)
+        if not narrow:
+            log_values, _, converged, _ = integrate_vector(log_f, _compact(edges),
+                                                           _SPLIT_QUAD_TOL)
+            return log_values, converged
+
+        def log_f_and_mass(u):
+            # rows k..2k-1: the bare Beta weight on the same nodes
+            return np.concatenate([log_f(u[:k]), _log_weight(u[k:], a, b, r, mode)])
+
+        beta_edges = _u_of_phi(mode + sd * np.append(_OFFSETS, 0.0), r)
+        edges = _compact(np.concatenate([edges, beta_edges], axis=1))
+        log_values, _, converged, _ = integrate_vector(
+            log_f_and_mass, np.concatenate([edges, edges]), _SPLIT_QUAD_TOL)
+        return log_values[:k] - log_values[k:], converged
+
+
+def _panel_edges(log_f, x, precision, a, b, r, sd):
+    """Panel edges for each row of ``log_f`` (arguments are (rows, 1)
+    columns): geometric about the peak of the log integrand on each side of
+    u = 0 in units of its local scale there (a peak at the kink takes its
+    scale from the slope), the two peaks, u = 0, and window ends where the
+    log integrand has dropped ``_TAIL_DROP`` below its peak."""
+    # per side: phi's rate rho in t = e^(-rho |u|) / 2 and the powers of
+    # t and 1 - t in the weight
+    rho = np.concatenate([np.ones_like(r), r], axis=1)
+    own = np.concatenate([a, b], axis=1)
+    other = np.concatenate([b, a], axis=1) - 1.0
+
+    def slopes(u):
+        t = 0.5 * np.exp(-rho * np.abs(u))
+        q = t / (1.0 - t)
+        slope = precision * (x - u) - _SIDES * rho * (own - other * q)
+        # curvature, made at most that of the normal factor
+        curv = np.minimum(-rho * rho * other * q / (1.0 - t), 0.0) - precision
+        return slope, curv
+
+    # Each side's peak: at u = 0 when the slope there points at the kink,
+    # otherwise inside a bracket that the bounded weight slopes give in
+    # closed form. Newton; a step that leaves the bracket is replaced by
+    # false position between the bracket's ends.
+    zero = np.zeros_like(x)
+    lo = np.concatenate([np.minimum(x + np.minimum(a, a - b + 1.0) / precision, 0.0),
+                         zero], axis=1)
+    hi = np.concatenate([zero, np.maximum(x + r * np.maximum(-b, a - 1.0 - b) / precision,
+                                          0.0)], axis=1)
+    slope_lo, _ = slopes(lo)
+    slope_hi, _ = slopes(hi)
+    at_kink = np.where(_SIDES > 0.0, slope_lo, slope_hi) * _SIDES <= 0.0
+    lo = np.where(at_kink, 0.0, lo)
+    hi = np.where(at_kink, 0.0, hi)
+    # start: the precision-weighted mean of x and the Beta mean mapped into u
+    mean = a / (a + b)
+    jac = np.where(mean <= 0.5, mean, r * (1.0 - mean))
+    beta_precision = (jac / sd) ** 2
+    start = ((precision * x + beta_precision * _u_of_phi(mean, r))
+             / (precision + beta_precision))
+    u = np.clip(start, lo, hi)
+    for _ in range(_STEPS):
+        slope, curv = slopes(u)
+        up = slope >= 0.0
+        lo, slope_lo = np.where(up, u, lo), np.where(up, slope, slope_lo)
+        hi, slope_hi = np.where(up, hi, u), np.where(up, slope_hi, slope)
+        nxt = u - slope / curv
+        with np.errstate(invalid="ignore", divide="ignore"):
+            secant = lo + slope_lo * (hi - lo) / (slope_lo - slope_hi)
+        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt,
+                       np.where((lo <= secant) & (secant <= hi), secant, 0.5 * (lo + hi)))
+        done = np.all(np.abs(nxt - u) * np.sqrt(-curv) <= 1e-2)
+        u = nxt
+        if done:
+            break
+    slope, curv = slopes(u)
+    scale = 1.0 / (np.abs(slope) + np.sqrt(-curv))
+
+    peak = log_f(u)
+    floor = peak.max(axis=1, keepdims=True) - _TAIL_DROP
+    ends = u + 10.0 * scale * _SIDES
+    for _ in range(_STEPS):
+        short = log_f(ends) > floor
+        if not short.any():
+            break
+        ends = np.where(short, u + 2.0 * (ends - u), ends)
+    # a side whose peak is below the floor is left out: the window ends at 0
+    ends = np.where(peak < floor, 0.0, ends)
+    lo, hi = ends[:, :1], ends[:, 1:]
+    about_peaks = u[:, :, None] + scale[:, :, None] * _OFFSETS
+    return np.concatenate([np.clip(about_peaks[:, 0], lo, 0.0),
+                           np.clip(about_peaks[:, 1], 0.0, hi),
+                           np.clip(u, lo, hi), ends, zero], axis=1)
+
+
+def _compact(edges):
+    """Sort each row's edges and drop repeats and any edge whose gap to its
+    left neighbour is under 5% of both adjacent gaps (never the kink u = 0
+    or the window's end), padding the shorter rows with their last edge
+    (empty panels): the rule evaluates no more panels than the row with the
+    most needs."""
+    edges = np.sort(edges, axis=1)
+    gap = np.diff(edges, axis=1)
+    wide = np.full((len(edges), 1), np.inf)
+    near = gap < 0.05 * np.minimum(np.concatenate([wide, gap[:, :-1]], axis=1),
+                                   np.concatenate([gap[:, 1:], wide], axis=1))
+    near &= edges[:, 1:] != 0.0
+    near[:, -1] = False
+    repeat = np.concatenate([np.zeros((len(edges), 1), dtype=bool),
+                             (gap == 0.0) | near], axis=1)
+    width = int((~repeat).sum(axis=1).max())
+    return np.sort(np.where(repeat, edges[:, -1:], edges), axis=1)[:, :width]
 
 
 def fit_split_lognormal_model(tables: Sequence[StudyTable],
@@ -427,10 +529,15 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
     """Joint likelihood of the observed theta-hat_i under their split-
     lognormal sampling densities, with psi_i = (1 + theta_i)/2 drawn from a
     Beta law of mean (1 + theta)/2 and variance tau^2/4 (the same shapes for
-    every study). Per-study integrals are computed against the numerically
-    integrated Beta mass on the same panels, which cancels shared rounding;
+    every study). Each study's integral is taken in its own Gaussian
+    coordinate with one fixed composite (G7,K15) rule (``_SplitMarginal``);
     below the reporting boundary for tau the Beta law is within rounding of
-    a point mass, so the common-effect likelihood is used directly."""
+    a point mass, so the common-effect likelihood is used directly.
+    ``converged`` means that the optimizer converged and that the rule's
+    K15 - G7 error estimate was within its tolerance at the reported optimum
+    and at every point of the Hessian's difference stencil. Per-study terms
+    are summed with ``math.fsum`` and every per-study array is reduced row
+    by row, so the fit does not depend on the order of the tables."""
     tables = list(tables)
     if len(tables) < 2:
         raise DomainError("fit_split_lognormal_model: needs at least 2 studies")
@@ -442,50 +549,25 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
         approxes.append(SplitLognormalApprox.from_table(t, zero_correction))
         theta_hats.append(est.theta_hat)
         sig2_list.append(est.sigma2)
-    thetas = np.array(theta_hats)
-    sig2 = np.array(sig2_list)
-    _, _, _, tau2_dl, _ = _q_statistics(thetas, sig2)
-    k = len(tables)
-    psi_peaks = []
-    for th, ap in zip(theta_hats, approxes):
-        peak = 0.5 * (1.0 + th)
-        width = 0.5 * max(ap.sigma1 * (1.0 + th), ap.sigma2 * (1.0 - th))
-        psi_peaks.extend((peak, peak - 2.0 * width, peak + 2.0 * width,
-                          peak - 8.0 * width, peak + 8.0 * width))
-    batch = SplitDensityBatch(theta_hats, approxes)
+    theta0, _, _, _, tau2_dl, _ = _q_statistics(np.array(theta_hats), np.array(sig2_list))
+    marginal = _SplitMarginal(theta_hats, approxes)
 
-    def point_mass_negll(theta: float) -> float:
-        return -sum(split_loglik(th, theta, ap)
-                    for th, ap in zip(theta_hats, approxes))
-
-    def base(psi):
-        # (n, k+1): per-study split-lognormal densities at theta = 2 psi - 1,
-        # plus a bare column tracking the Beta mass on the same panels.
-        dens = batch.densities(2.0 * psi - 1.0)
-        return np.concatenate([dens, np.ones((len(psi), 1))], axis=1)
-
-    def negll(theta: float, tau: float) -> float:
+    def log_terms(theta: float, tau: float):
+        """Per-study log likelihoods and whether the rule met its tolerance.
+        An infeasible Beta variance gives one term carrying the penalty."""
         if tau <= _TAU_BOUNDARY:
-            return point_mass_negll(theta)
+            return [split_loglik(th, theta, ap)
+                    for th, ap in zip(theta_hats, approxes)], True
         psi_bar = 0.5 * (1.0 + theta)
         cap = psi_bar * (1.0 - psi_bar)
         v = 0.25 * tau * tau
         if v >= cap:
-            return _PENALTY * (1.0 + v / cap)
+            return [-_PENALTY * (1.0 + v / cap)], True
         shapes = beta_reparam(psi_bar, v)
-        ln_b = log_beta(shapes.alpha, shapes.beta)
-        vals, _, _ = _beta_segment_integrals(base, shapes.alpha, shapes.beta,
-                                             ln_b, k + 1, psi_peaks,
-                                             _LIKELIHOOD_QUAD_TOL)
-        mass = vals[-1]
-        if not (mass > 0.0) or not np.all(np.isfinite(vals)):
-            return _PENALTY
-        # dividing by the numerically integrated Beta mass cancels rounding
-        # shared between the columns (it is 1 + O(tol) analytically)
-        ratios = np.maximum(vals[:-1] / mass, 1e-300)
-        return -float(np.sum(np.log(ratios)))
+        return marginal.log_terms(shapes.alpha, shapes.beta)
 
-    w = 1.0 / sig2
-    theta0 = float((w * thetas).sum() / w.sum())
+    def negll(theta: float, tau: float) -> float:
+        return -math.fsum(log_terms(theta, tau)[0])
+
     return _fit_two_param("split-lognormal", negll, theta0, math.sqrt(tau2_dl),
-                          k, None)
+                          len(tables), None, accurate=lambda th, ta: log_terms(th, ta)[1])

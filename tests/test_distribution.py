@@ -8,7 +8,6 @@ import scipy.integrate
 
 from grrr.core import StudyTable
 from grrr.distribution import (
-    SplitDensityBatch,
     SplitLognormalApprox,
     cdf,
     confidence_interval,
@@ -69,14 +68,6 @@ class TestPdf:
             mu1 = math.log1p(theta) if theta < 0 else -(s1 / s2) * math.log1p(-theta)
             value = _mass(theta, approx, -1.0, 0.0, breakpoints=[theta])
             assert value == pytest.approx(std_normal_cdf(-mu1 / s1), abs=1e-8)
-
-    def test_vectorised_matches_scalar(self):
-        approx = SplitLognormalApprox(0.3, 0.25)
-        grid = np.linspace(-0.95, 0.95, 191)
-        for th_hat in (-0.4, 0.0, 0.55):
-            vec = SplitDensityBatch([th_hat], [approx]).densities(grid)[:, 0]
-            scalar = [pdf(th_hat, float(t), approx) for t in grid]
-            assert vec == pytest.approx(scalar, rel=1e-13)
 
     def test_loglik_is_log_pdf(self):
         approx = SplitLognormalApprox(0.3, 0.25)

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
 
 from grrr.errors import DomainError
 from grrr.kernels import (
@@ -128,109 +130,140 @@ class TestLogBeta:
                 log_beta(a, b)
 
 
-def _quad(f, **kw):
-    """One-component ``integrate_vector``: (value, error, converged, evals)."""
-    vals, errs, converged, evals = integrate_vector(f, 1, **kw)
-    return float(vals[0]), float(errs[0]), converged, evals
+def _quad(log_f, edges, **kw):
+    """One-row ``integrate_vector``: (value, error, converged, evals)."""
+    log_values, errs, converged, evals = integrate_vector(log_f, [edges], **kw)
+    return math.exp(log_values[0]), float(errs[0]), converged, evals
+
+
+def _spike(centre, width):
+    return lambda x: -(((x - centre) / width) ** 2)
 
 
 class TestIntegrate:
     def test_linear(self):
-        value, _, converged, _ = _quad(lambda x: x, tol=1e-12)
+        value, _, converged, _ = _quad(np.log, [0.0, 1.0], tol=1e-12)
         assert converged
         assert value == pytest.approx(0.5, abs=1e-13)
 
     def test_polynomial_single_panel(self):
-        # K15 is exact through degree 22: one panel, no refinement
-        value, _, _, evals = _quad(lambda x: x ** 10, tol=1e-13)
+        # K15 is exact through degree 22: one panel, 15 evaluations
+        value, _, converged, evals = _quad(lambda x: 10.0 * np.log(x), [0.0, 1.0],
+                                           tol=1e-13)
         assert evals == 15
+        assert converged
         assert value == pytest.approx(1.0 / 11.0, abs=1e-14)
 
     def test_beta_2_2_density(self):
-        value, _, _, _ = _quad(lambda x: 6.0 * x * (1.0 - x), tol=1e-12)
+        value, _, _, _ = _quad(lambda x: np.log(6.0 * x * (1.0 - x)), [0.0, 1.0],
+                               tol=1e-12)
         assert value == pytest.approx(1.0, abs=1e-13)
 
-    def test_arcsine_density_endpoint_singularities(self):
-        # integrable singularities at both endpoints
-        value, _, converged, _ = _quad(
-            lambda x: 1.0 / (math.pi * np.sqrt(x * (1.0 - x))), tol=1e-8)
-        assert converged
-        assert value == pytest.approx(1.0, abs=1e-8)
-
     def test_oscillatory_with_error_estimate(self):
-        value, _, converged, _ = _quad(lambda x: np.sin(50.0 * x), tol=1e-10,
-                                       lower=0.0, upper=math.pi)
-        truth = (1.0 - math.cos(50.0 * math.pi)) / 50.0
+        # exp(sin 50x) over 25 periods is pi I0(1); K15 - G7 is a cautious
+        # estimate: at half a period a panel it reads ~1e-6 for a 5e-14 error
+        truth = math.pi * scipy.special.i0(1.0)
+        value, error, converged, evals = _quad(lambda x: np.sin(50.0 * x),
+                                               np.linspace(0.0, math.pi, 51), tol=1e-5)
         assert converged
-        assert abs(value - truth) < 1e-10
+        assert evals == 50 * 15
+        assert value == pytest.approx(truth, rel=1e-12)
+        _, finer, _, _ = _quad(lambda x: np.sin(50.0 * x), np.linspace(0.0, math.pi, 101))
+        assert finer < error / 1000.0
+
+    def test_any_magnitude_in_log_space(self):
+        log_values, _, converged, _ = integrate_vector(
+            lambda x: np.log(x) + np.array([[1500.0], [-1500.0]]),
+            [[0.0, 1.0], [0.0, 1.0]])
+        assert converged
+        assert log_values == pytest.approx([1500.0 + math.log(0.5),
+                                            -1500.0 + math.log(0.5)], abs=1e-12)
 
     def test_breakpoints_expose_narrow_spike(self):
-        # a 1e-6-wide Gaussian spike: every node of the single initial panel
-        # misses it, so without a nearby panel edge the rule would accept 0
-        f = lambda x: np.exp(-(((x - 0.37) / 1e-6) ** 2))
+        # a 1e-6-wide Gaussian spike: every node of one panel misses it, and
+        # the K15 - G7 estimate says so; edges about it resolve it
+        f = _spike(0.37, 1e-6)
         truth = math.sqrt(math.pi) * 1e-6
-        no_bp, _, _, _ = _quad(f, tol=1e-12)
-        assert abs(no_bp) < truth / 2  # silently wrong without hints
-        with_bp, _, _, _ = _quad(f, tol=1e-12,
-                                 breakpoints=[0.37 - 5e-6, 0.37 + 5e-6])
-        assert with_bp == pytest.approx(truth, rel=1e-9)
-
-    def test_breakpoints_outside_interval_ignored(self):
-        _, _, _, evals = _quad(lambda x: x, tol=1e-12, breakpoints=[-1.0, 2.0])
-        assert evals == 15
+        no_edges, _, converged, _ = _quad(f, [0.0, 1.0], tol=1e-5)
+        assert abs(no_edges) < truth / 2 and not converged
+        edges = [0.0] + [0.37 + d * 1e-6 for d in (-5, -1.5, -0.5, 0.5, 1.5, 5)] + [1.0]
+        with_edges, _, converged, _ = _quad(f, edges, tol=1e-5)
+        assert converged
+        assert with_edges == pytest.approx(truth, rel=1e-9)
 
     def test_nonconvergence_reported_not_raised(self):
-        _, _, converged, _ = _quad(
-            lambda x: 1.0 / (math.pi * np.sqrt(x * (1.0 - x))),
-            tol=1e-8, max_panels=8)
-        assert not converged
+        # a spike narrower than its panel that only the node at 0.5 samples:
+        # the value is wrong, and the rule reports it
+        truth = math.sqrt(math.pi) * 0.01
+        value, error, converged, _ = _quad(_spike(0.5, 0.01), [0.0, 1.0], tol=1e-5)
+        assert not converged and error > 0.5
+        assert value == pytest.approx(0.5 * 0.209482141084728, rel=1e-9)
+        assert abs(value - truth) > truth
+        value, _, converged, _ = _quad(_spike(0.5, 0.01), np.linspace(0.0, 1.0, 41),
+                                       tol=1e-5)
+        assert converged
+        assert value == pytest.approx(truth, rel=1e-9)
 
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(DomainError):
-            _quad(lambda x: np.where(x < 0.3, np.inf, 1.0), tol=1e-8)
+            _quad(lambda x: np.where(x < 0.3, np.inf, 1.0), [0.0, 1.0])
         with pytest.raises(DomainError):
-            _quad(lambda x: float("nan") * x, tol=1e-8)
-
-    def test_pole_stalls_without_false_convergence(self):
-        # non-integrable pole: refinement stalls at the roundoff floor and
-        # the result is flagged, never silently accepted
-        with np.errstate(divide="ignore"):
-            _, error, converged, _ = _quad(lambda x: 1.0 / (x - 0.5),
-                                           tol=1e-10, breakpoints=[0.5])
-        assert not converged
-        assert error > 1.0
+            _quad(lambda x: float("nan") * x, [0.0, 1.0])
+        with pytest.raises(DomainError):
+            _quad(lambda x: np.full(x.shape[1], 0.0), [0.0, 1.0])
 
     def test_invalid_interval(self):
+        for edges in ([1.0, 0.0], [0.0, float("inf")], [0.5, 0.5], [0.0, 0.6, 0.4, 1.0]):
+            with pytest.raises(DomainError):
+                _quad(np.log, edges)
+        for edges in ([0.0, 1.0], [[0.0]], [[[0.0, 1.0]]]):
+            with pytest.raises(DomainError):
+                integrate_vector(np.log, edges)
         with pytest.raises(DomainError):
-            _quad(lambda x: x, lower=1.0, upper=0.0)
-        with pytest.raises(DomainError):
-            _quad(lambda x: x, lower=0.0, upper=float("inf"))
-        with pytest.raises(DomainError):
-            _quad(lambda x: x, tol=0.0)
+            _quad(np.log, [0.0, 1.0], tol=0.0)
 
 
 class TestIntegrateVector:
+    def _rows(self):
+        # row 1 is padded with an empty panel
+        edges = [[0.0, 0.5, 1.0], [0.0, 2.0, 2.0], [0.0, 0.7, math.pi / 2]]
+
+        def log_f(x):
+            return np.stack([np.log(x[0]), 2.0 * np.log(x[1]), np.log(np.cos(x[2]))])
+
+        return log_f, edges
+
     def test_components_share_panels(self):
-        def f(x):
-            return np.stack([x, x * x, np.sin(x)], axis=1)
+        # rows on the same edges are integrated on the same nodes
+        edges = np.linspace(0.0, 1.0, 4)
 
-        vals, errs, converged, evals = integrate_vector(f, 3, tol=1e-12)
+        def log_f(x):
+            return np.stack([np.log(x[0]), 2.0 * np.log(x[1]), np.sin(x[2])])
+
+        log_values, errs, converged, evals = integrate_vector(log_f, [edges] * 3)
         assert converged
-        assert vals[0] == pytest.approx(0.5, abs=1e-13)
-        assert vals[1] == pytest.approx(1.0 / 3.0, abs=1e-13)
-        assert vals[2] == pytest.approx(1.0 - math.cos(1.0), abs=1e-13)
+        assert np.exp(log_values[:2]) == pytest.approx([0.5, 1.0 / 3.0], abs=1e-13)
+        truth = scipy.integrate.quad(lambda x: math.exp(math.sin(x)), 0.0, 1.0,
+                                     epsabs=0.0, epsrel=1e-13)[0]
+        assert math.exp(log_values[2]) == pytest.approx(truth, rel=1e-13)
+        assert evals == 3 * 3 * 15
+
+    def test_rows_at_once(self):
+        log_f, edges = self._rows()
+        log_values, errs, converged, evals = integrate_vector(log_f, edges, tol=1e-12)
+        assert converged
+        assert np.exp(log_values) == pytest.approx([0.5, 8.0 / 3.0, 1.0], abs=1e-13)
         assert errs.shape == (3,)
-        assert evals % 15 == 0
+        assert evals == 3 * 2 * 15
 
-    def test_refinement_driven_by_worst_component(self):
-        # component 0 is trivial, component 1 needs refinement near 0
-        def f(x):
-            return np.stack([np.ones_like(x), 1.0 / np.sqrt(x)], axis=1)
-
-        vals, _, converged, _ = integrate_vector(f, 2, tol=1e-9)
-        assert converged
-        assert vals[0] == pytest.approx(1.0, abs=1e-12)
-        assert vals[1] == pytest.approx(2.0, abs=1e-8)
+    def test_row_results_do_not_depend_on_position(self):
+        log_f, edges = self._rows()
+        base = integrate_vector(log_f, edges)
+        order = [2, 0, 1]
+        moved = integrate_vector(lambda x: log_f(x[np.argsort(order)])[order],
+                                 [edges[i] for i in order])
+        assert np.array_equal(moved[0], base[0][order])
+        assert np.array_equal(moved[1], base[1][order])
 
 
 class TestMinimize:

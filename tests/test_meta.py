@@ -1,22 +1,30 @@
 """Random-effects pooling: moment, normal-ML, beta, and split-lognormal fits.
 
 Oracles used here: a hand-rolled moment estimator written out term by term,
-a brute-force grid search of the normal likelihood, and scipy quadrature of
-the random-effects integrand. None share code with the implementation.
+a brute-force grid search of the normal likelihood, and scipy and mpmath
+quadrature of the random-effects integrand in psi. None share code with the
+implementation.
 """
 
 import math
+import random
+from importlib import resources
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+import grrr.meta
+from grrr.cli import parse_dataset
 from grrr.core import StudyTable
-from grrr.distribution import SplitDensityBatch, SplitLognormalApprox, pdf
+from grrr.distribution import SplitLognormalApprox, pdf
 from grrr.errors import DomainError
+from grrr.kernels import log_beta
 from grrr.meta import (
     BetaMoments,
     MetaFit,
+    _log_weight,
+    _SplitMarginal,
     beta_reparam,
     fit_beta_model,
     fit_direct_dl,
@@ -207,21 +215,171 @@ class TestBetaModel:
         assert fit.i_squared is None
 
 
-class TestSplitDensityBatch:
-    def test_matches_per_study_vectorised_pdf(self):
-        # the batch that fit_split_lognormal_model integrates, against the
-        # scalar pdf of each study
-        tables = _SIX_TABLES[:3]
-        approxes = [SplitLognormalApprox.from_table(t) for t in tables]
-        theta_hats = [make_estimate(t, VarianceSpec("approx"),
-                                    zero_correction=0.5).theta_hat
-                      for t in tables]
-        batch = SplitDensityBatch(theta_hats, approxes)
-        grid = np.linspace(-0.99, 0.99, 397)
-        got = batch.densities(grid)
-        for col, (th, ap) in enumerate(zip(theta_hats, approxes)):
-            expected = [pdf(th, float(t), ap) for t in grid]
-            assert got[:, col] == pytest.approx(expected, rel=1e-12)
+def _split_inputs(tables):
+    approxes = [SplitLognormalApprox.from_table(t) for t in tables]
+    theta_hats = [make_estimate(t, VarianceSpec("approx"), zero_correction=0.5).theta_hat
+                  for t in tables]
+    return theta_hats, approxes
+
+
+def _bcg(rows=None):
+    tables = parse_dataset(str(resources.files("grrr.data").joinpath("bcg.csv")))
+    return tables if rows is None else [tables[i] for i in rows]
+
+
+# Comstock-1974, Comstock-Webster-1969, Comstock-1976: the bcg studies with
+# the most extreme scale ratios sigma2/sigma1 (0.0046, 628 mirrored, 0.0016)
+_BCG_EXTREMES = (10, 11, 12)
+
+
+def _theta_psi_jacobian(u, mirrored, r):
+    """The true effect at coordinate u, psi = (1 + theta)/2 and |dpsi/du|,
+    from the mean substitution of ``distribution``: u = mu1(theta) for
+    theta-hat < 0, u = mu2(theta) otherwise."""
+    if not mirrored:
+        theta = math.expm1(u) if u <= 0.0 else -math.expm1(-r * u)
+    else:
+        theta = -math.expm1(u) if u <= 0.0 else math.expm1(-r * u)
+    psi = 0.5 * (1.0 + theta)
+    if u <= 0.0:
+        jac = 1.0 - psi if mirrored else psi
+    else:
+        jac = r * psi if mirrored else r * (1.0 - psi)
+    return theta, psi, jac
+
+
+class TestSplitIntegrand:
+    """The likelihood's per-study integrand in the Gaussian coordinate u is
+    the split-lognormal density at theta(u) times the Beta density of
+    psi(u) times |dpsi/du|, with the Beta density from scipy."""
+
+    def _points(self, marginal, rng):
+        # both sides of the kink, out to 4 normal sds
+        for i in range(len(marginal.x)):
+            x = float(marginal.x[i, 0])
+            s = 1.0 / math.sqrt(float(marginal.precision[i, 0]))
+            yield i, np.concatenate([rng.uniform(x - 4 * s, x + 4 * s, 12),
+                                     rng.uniform(-4 * s, 0.0, 4),
+                                     rng.uniform(0.0, 4 * s, 4)])
+
+    def test_integrand_is_pdf_times_beta_times_jacobian(self):
+        import scipy.stats
+
+        tables = list(_SIX_TABLES) + _bcg(_BCG_EXTREMES + (7,))
+        theta_hats, approxes = _split_inputs(tables)
+        marginal = _SplitMarginal(theta_hats, approxes)
+        rng = np.random.default_rng(5)
+        for theta, tau in [(-0.3, 0.3), (0.2, 0.5), (-0.46, 0.05)]:
+            shapes = beta_reparam(0.5 * (1.0 + theta), 0.25 * tau * tau)
+            ln_b = log_beta(shapes.alpha, shapes.beta)
+            for i, us in self._points(marginal, rng):
+                mirrored = bool(marginal.mirrored[i, 0])
+                a, b = ((shapes.beta, shapes.alpha) if mirrored
+                        else (shapes.alpha, shapes.beta))
+                r = float(marginal.r[i, 0])
+                got = np.exp(marginal.log_normal(us[None, :])[i]
+                             + _log_weight(us, a, b, r) - ln_b)
+                for u, value in zip(us, got):
+                    th, psi, jac = _theta_psi_jacobian(float(u), mirrored, r)
+                    want = (pdf(theta_hats[i], th, approxes[i])
+                            * scipy.stats.beta.pdf(psi, shapes.alpha, shapes.beta) * jac)
+                    assert value == pytest.approx(want, rel=1e-12), (i, u, theta, tau)
+
+    def test_anchored_weight_differs_by_a_constant(self):
+        # a narrow Beta with its mode on the kink: the mode-anchored weight
+        # is ln[Beta(psi) |dpsi/du|] less a constant (the shapes are equal,
+        # so mirrored studies see the same ones)
+        import scipy.stats
+
+        theta_hats, approxes = _split_inputs(_bcg(_BCG_EXTREMES))
+        marginal = _SplitMarginal(theta_hats, approxes)
+        sd = 0.002   # tau / 2
+        shapes = beta_reparam(0.5, sd * sd)
+        mode = (shapes.alpha - 1.0) / (shapes.alpha + shapes.beta - 2.0)
+        for i in range(3):
+            mirrored = bool(marginal.mirrored[i, 0])
+            r = float(marginal.r[i, 0])
+            psis = mode + sd * np.linspace(-8.0, 8.0, 33)
+            phis = 1.0 - psis if mirrored else psis
+            us = np.where(phis <= 0.5, np.log(2 * phis), -np.log(2 * (1 - phis)) / r)
+            got = _log_weight(us, shapes.alpha, shapes.beta, r, mode)
+            want = []
+            for u in us:
+                _, psi, jac = _theta_psi_jacobian(float(u), mirrored, r)
+                want.append(scipy.stats.beta.logpdf(psi, shapes.alpha, shapes.beta)
+                            + math.log(jac))
+            shift = got - np.array(want)
+            assert np.ptp(shift) < 1e-9, i
+
+
+def _mp_study_loglik(theta_hat, s1, s2, theta, tau):
+    """ln of one study's marginal likelihood, the split-lognormal density of
+    theta-hat integrated over psi against the Beta law, by mpmath
+    Gauss-Legendre at 30 digits with breakpoints at the kink psi = 1/2, at
+    multiples of both branch scales about the study's peak and about the
+    kink, and at multiples of the Beta sd about its mode."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        th, s1, s2 = mpmath.mpf(theta_hat), mpmath.mpf(s1), mpmath.mpf(s2)
+        m = (1 + mpmath.mpf(theta)) / 2
+        common = m * (1 - m) / (mpmath.mpf(tau) ** 2 / 4) - 1
+        a, b = m * common, (1 - m) * common
+        log_b = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        sd = mpmath.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        mode = (a - 1) / (a + b - 2) if a > 1 and b > 1 else m
+        y, s = (mpmath.log1p(th), s1) if th < 0 else (mpmath.log1p(-th), s2)
+
+        def f(psi):
+            t = 2 * psi - 1
+            if t < 0:
+                mu1 = mpmath.log1p(t)
+                mu2 = -(s2 / s1) * mu1
+            else:
+                mu2 = mpmath.log1p(-t)
+                mu1 = -(s1 / s2) * mu2
+            z = (y - (mu1 if th < 0 else mu2)) / s
+            return mpmath.exp(-z * z / 2 - mpmath.log(s * mpmath.sqrt(2 * mpmath.pi)) - y
+                              + (a - 1) * mpmath.log(psi) + (b - 1) * mpmath.log1p(-psi)
+                              - log_b)
+
+        peak = (1 + th) / 2
+        half = mpmath.mpf(1) / 2
+        pts = {half, peak, mode}
+        for w in ((1 + th) * s1 / 2, (1 - th) * s2 / 2):
+            for k in (1, 3, 8, 20):
+                pts.update((peak - k * w, peak + k * w, half - k * w, half + k * w))
+        for k in (1, 2, 3, 4, 6, 8, 11, 15, 20, 28, 40):
+            pts.update((mode - k * sd, mode + k * sd))
+        pts = [0, *sorted(p for p in pts if 0 < p < 1), 1]
+        total = 0
+        for i, (lo, hi) in enumerate(zip(pts[:-1], pts[1:])):
+            # tanh-sinh at the ends, where a shape < 1 is singular
+            method = "tanh-sinh" if i in (0, len(pts) - 2) else "gauss-legendre"
+            total += mpmath.quad(f, [lo, hi], method=method)
+        return float(mpmath.log(total))
+
+
+class TestSplitLikelihoodOracle:
+    """The marginal likelihood against mpmath at 30 digits, from a point-
+    mass-like Beta (tau = 1e-5) to a U-shaped one (tau = 0.9)."""
+
+    @pytest.mark.parametrize("case", [
+        ("six", None, -0.3), ("bcg", _BCG_EXTREMES, -0.46), ("bcg", _BCG_EXTREMES, 0.0)])
+    def test_accuracy_grid(self, case):
+        name, rows, theta = case
+        tables = _SIX_TABLES if name == "six" else _bcg(rows)
+        theta_hats, approxes = _split_inputs(tables)
+        marginal = _SplitMarginal(theta_hats, approxes)
+        for tau in (1e-5, 1e-3, 0.01, 0.05, 0.24, 0.9):
+            if tau * tau >= 1.0 - theta * theta:
+                continue   # infeasible Beta variance
+            shapes = beta_reparam(0.5 * (1.0 + theta), 0.25 * tau * tau)
+            terms, converged = marginal.log_terms(shapes.alpha, shapes.beta)
+            oracle = [_mp_study_loglik(th, ap.sigma1, ap.sigma2, theta, tau)
+                      for th, ap in zip(theta_hats, approxes)]
+            assert converged, tau
+            assert abs(math.fsum(terms) - math.fsum(oracle)) <= 1e-9, tau
 
 
 class TestSplitLognormalModel:
@@ -315,6 +473,40 @@ class TestSplitLognormalModel:
     def test_needs_two_studies(self):
         with pytest.raises(DomainError):
             fit_split_lognormal_model(_tables([(2, 10, 5, 10)]))
+
+    @pytest.mark.parametrize("dataset", ["bcg", "streptokinase"])
+    def test_row_order_does_not_matter(self, dataset):
+        path = resources.files("grrr.data").joinpath(dataset + ".csv")
+        tables = parse_dataset(str(path))
+        fields = ("theta_hat", "se_theta", "tau_hat", "se_tau", "loglik",
+                  "converged", "restart_thetas")
+        base = fit_split_lognormal_model(tables)
+        for seed in (1, 2, 3):
+            shuffled = list(tables)
+            random.Random(seed).shuffle(shuffled)
+            fit = fit_split_lognormal_model(shuffled)
+            for name in fields:
+                assert getattr(fit, name) == getattr(base, name), (seed, name)
+
+    def test_converged_needs_the_rule_within_tolerance(self, monkeypatch):
+        # the same optimum, but every integral reported over tolerance
+        tables = _bcg()
+        honest = fit_split_lognormal_model(tables)
+        assert honest.converged and honest.tau_hat > 0.0
+
+        def unconverged(*args, **kw):
+            values, errors, _, evals = integrate_vector(*args, **kw)
+            return values, errors, False, evals
+
+        integrate_vector = grrr.meta.integrate_vector
+        monkeypatch.setattr(grrr.meta, "integrate_vector", unconverged)
+        flagged = fit_split_lognormal_model(tables)
+        assert not flagged.converged
+        assert flagged.theta_hat == honest.theta_hat
+        # a boundary fit never reaches the quadrature at its stencil
+        rows = [(20, 100, 30, 100), (21, 100, 30, 100), (20, 100, 31, 100),
+                (19, 100, 29, 100)]
+        assert fit_split_lognormal_model(_tables(rows)).converged
 
 
 class TestMetaFitInvariants:

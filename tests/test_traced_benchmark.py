@@ -37,7 +37,7 @@ def _report_bytes(model):
     return emit_report(report, "json", model=model), len(tables)
 
 
-@pytest.mark.parametrize("model", ["direct-dl", "beta"])
+@pytest.mark.parametrize("model", ["direct-dl", "beta", "split-lognormal"])
 def test_traced_analysis_is_unchanged_and_counted(model):
     originals = {(mod, name): getattr(mod, name)
                  for mod, names in _TRACED.items() for name in names}
@@ -53,11 +53,17 @@ def test_traced_analysis_is_unchanged_and_counted(model):
     for per_op in tracer.counts.values():
         counts.update(per_op)
     assert counts["distribution.cis"] == k
-    assert counts["variance.estimates"] == k
+    # the split-lognormal fit makes its own approx estimate of each study
+    assert counts["variance.estimates"] == (2 * k if model == "split-lognormal" else k)
     spans = {rec[3] for rec in tracer.spans}
     assert {"meta.fit", "distribution.from_table",
             "distribution.confidence_interval", "variance.estimate"} <= spans
     if model == "beta":
         assert counts["meta.minimize_runs"] > 0
         assert counts["kernels.log_beta_calls"] > 0
+    if model == "split-lognormal":
+        assert counts["meta.minimize_runs"] > 0
+        assert counts["kernels.quad_calls"] > 0
+        assert counts["kernels.quad_panels"] > 0
+        assert counts["kernels.quad_unconverged"] == 0
     assert all(getattr(mod, name) is fn for (mod, name), fn in originals.items())
