@@ -57,7 +57,6 @@ class AnalysisConfig:
     bootstrap_reps: int = 100_000
     seed: int = 0
     alpha: float = 0.05
-    baseline_risk: Optional[float] = None
     event_is_harm: bool = True
 
     def __post_init__(self):
@@ -71,8 +70,6 @@ class AnalysisConfig:
             raise DomainError("bootstrap_reps must be >= 1000")
         if not (0.0 < self.alpha < 1.0):
             raise DomainError("alpha must be in (0, 1)")
-        if self.baseline_risk is not None and not (0.0 < self.baseline_risk < 1.0):
-            raise DomainError("baseline_risk must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -222,24 +219,20 @@ def run_analysis(config: AnalysisConfig, tables: Sequence[StudyTable],
         fit = fit_split_lognormal_model(tables, config.zero_correction)
 
     pooled_ci = _pooled_ci(fit, config.alpha)
-    summary = render_plain_language(fit, config.event_is_harm,
-                                    ci=pooled_ci)
+    summary = render_plain_language(fit, pooled_ci, config.event_is_harm)
     return AnalysisReport(fit=fit, per_study=tuple(records),
                           summary_text=summary, dataset_hash=dataset_hash,
                           alpha=config.alpha, pooled_ci=pooled_ci)
 
 
-def render_plain_language(fit: MetaFit, event_is_harm: bool = True,
-                          ci: Optional[tuple] = None,
-                          alpha: float = 0.05) -> str:
-    """Lay-audience sentence for a pooled fit.
+def render_plain_language(fit: MetaFit, ci: tuple,
+                          event_is_harm: bool = True) -> str:
+    """Lay-audience sentence for a pooled fit and its interval ``ci``.
 
     Percentages are the rounded magnitude of theta; the CI clause uses the
     same transform applied to both interval ends.
     """
     theta = fit.theta_hat
-    if ci is None:
-        ci = _pooled_ci(fit, alpha)
     if theta == 0.0:
         return ("There is no estimated difference between the treated and "
                 "untreated in the probability of the event.")

@@ -41,7 +41,6 @@ from .errors import DatasetError, DomainError
 __all__ = [
     "StudyTable",
     "theta_from_probs",
-    "theta_from_probs_heaviside",
     "q_from_p_theta",
     "estimate_theta",
     "probs_to_phi",
@@ -51,21 +50,16 @@ __all__ = [
 ]
 
 
-def _check_prob(name: str, value: float) -> float:
+def _check_real(name: str, value: float, lo: float, hi: float,
+                open_: bool = False) -> float:
+    """``value`` as a float in [lo, hi], or in (lo, hi) when ``open_``;
+    bools and NaN are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     value = float(value)
-    if math.isnan(value) or not (0.0 <= value <= 1.0):
-        raise DomainError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
-def _check_theta(value: float) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"theta must be a real number, got {value!r}")
-    value = float(value)
-    if math.isnan(value) or not (-1.0 <= value <= 1.0):
-        raise DomainError(f"theta must be in [-1, 1], got {value!r}")
+    if not (lo < value < hi if open_ else lo <= value <= hi):   # False for NaN
+        interval = f"({lo:g}, {hi:g})" if open_ else f"[{lo:g}, {hi:g}]"
+        raise DomainError(f"{name} must be in {interval}, got {value!r}")
     return value
 
 
@@ -139,8 +133,8 @@ def theta_from_probs(p: float, q: float) -> float:
     Piecewise definition; exactly 0 at q = p (which also covers the corner
     points p = q = 0 and p = q = 1).
     """
-    p = _check_prob("p", p)
-    q = _check_prob("q", q)
+    p = _check_real("p", p, 0.0, 1.0)
+    q = _check_real("q", q, 0.0, 1.0)
     if q == p:
         return 0.0
     if q < p:
@@ -148,27 +142,11 @@ def theta_from_probs(p: float, q: float) -> float:
     return 1.0 - (1.0 - q) / (1.0 - p)
 
 
-def theta_from_probs_heaviside(p: float, q: float) -> float:
-    """Equivalent single-formula form, (q - p)/(p + (1 - 2p) H(q - p)) with
-    H(0) = 1/2. Kept public so the piecewise implementation can be checked
-    against it; prefer ``theta_from_probs``."""
-    p = _check_prob("p", p)
-    q = _check_prob("q", q)
-    d = q - p
-    if d > 0.0:
-        h = 1.0
-    elif d < 0.0:
-        h = 0.0
-    else:
-        h = 0.5
-    return d / (p + (1.0 - 2.0 * p) * h)
-
-
 def q_from_p_theta(p: float, theta: float) -> float:
     """Inverse map: the treatment probability giving GRRR ``theta`` at
     baseline ``p``. Strictly increasing in theta for p interior."""
-    p = _check_prob("p", p)
-    theta = _check_theta(theta)
+    p = _check_real("p", p, 0.0, 1.0)
+    theta = _check_real("theta", theta, -1.0, 1.0)
     if theta < 0.0:
         return (1.0 + theta) * p
     return p + theta * (1.0 - p)
@@ -193,8 +171,8 @@ def estimate_theta(table: StudyTable) -> float:
 def probs_to_phi(p: float, q: float) -> float:
     """Map (p, q) to phi = (q - p)/(p + q - 2pq), the odds ratio's
     (OR - 1)/(OR + 1) transform. phi = 0 iff q = p."""
-    p = _check_prob("p", p)
-    q = _check_prob("q", q)
+    p = _check_real("p", p, 0.0, 1.0)
+    q = _check_real("q", q, 0.0, 1.0)
     if q == p:
         return 0.0
     return (q - p) / (p + q - 2.0 * p * q)
@@ -206,12 +184,8 @@ def phi_to_theta(phi: float, p: float) -> float:
     theta = 2(1-p) phi / (1 - phi + 2 p phi)  when phi < 0
     theta = 2 p phi / (1 - phi + 2 p phi)     when phi >= 0
     """
-    if isinstance(phi, bool) or not isinstance(phi, (int, float)):
-        raise DomainError(f"phi must be a real number, got {phi!r}")
-    phi = float(phi)
-    if math.isnan(phi) or not (-1.0 < phi < 1.0):
-        raise DomainError(f"phi must be in (-1, 1), got {phi!r}")
-    p = _check_prob("p", p)
+    phi = _check_real("phi", phi, -1.0, 1.0, open_=True)
+    p = _check_real("p", p, 0.0, 1.0)
     if not (0.0 < p < 1.0):
         raise DomainError(f"phi_to_theta: baseline risk must be interior, got {p!r}")
     denom = 1.0 - phi + 2.0 * p * phi

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import StudyTable
+from .core import StudyTable, _check_real
 from .errors import DomainError
 from .kernels import std_normal_cdf, std_normal_quantile
 from .variance import delta_method_params
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_THETA_CAP = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,6 @@ class SplitLognormalApprox:
         return cls(math.sqrt(s1sq), math.sqrt(s2sq))
 
 
-def _check_open_interval(name: str, value: float) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if math.isnan(value) or not (-1.0 < value < 1.0):
-        raise DomainError(f"{name} must be in (-1, 1), got {value!r}")
-    return value
-
-
 def _mu_pair(theta: float, s1: float, s2: float):
     """Mean substitution for a hypothesised true theta."""
     if theta < 0.0:
@@ -90,8 +80,8 @@ def _mu_pair(theta: float, s1: float, s2: float):
 def loglik(theta_hat: float, theta: float, approx: SplitLognormalApprox) -> float:
     """Log density of observing theta-hat when the true effect is theta.
     Finite for all interior arguments."""
-    theta_hat = _check_open_interval("theta_hat", theta_hat)
-    theta = _check_open_interval("theta", theta)
+    theta_hat = _check_real("theta_hat", theta_hat, -1.0, 1.0, open_=True)
+    theta = _check_real("theta", theta, -1.0, 1.0, open_=True)
     s1, s2 = approx.sigma1, approx.sigma2
     mu1, mu2 = _mu_pair(theta, s1, s2)
     if theta_hat < 0.0:
@@ -113,12 +103,8 @@ def cdf(theta_hat: float, theta: float, approx: SplitLognormalApprox) -> float:
 
     Accepts theta_hat on the closed interval [-1, 1] (the endpoints return
     the exact limits 0 and 1)."""
-    if isinstance(theta_hat, bool) or not isinstance(theta_hat, (int, float)):
-        raise DomainError(f"theta_hat must be a real number, got {theta_hat!r}")
-    theta_hat = float(theta_hat)
-    if math.isnan(theta_hat) or not (-1.0 <= theta_hat <= 1.0):
-        raise DomainError(f"theta_hat must be in [-1, 1], got {theta_hat!r}")
-    theta = _check_open_interval("theta", theta)
+    theta_hat = _check_real("theta_hat", theta_hat, -1.0, 1.0)
+    theta = _check_real("theta", theta, -1.0, 1.0, open_=True)
     if theta_hat == -1.0:
         return 0.0
     if theta_hat == 1.0:
@@ -138,11 +124,7 @@ def p_value(theta_hat: float, approx: SplitLognormalApprox, sided: str = "two") 
     which is exactly 1 at theta-hat = 0."""
     if sided not in ("one", "two"):
         raise DomainError(f"sided must be 'one' or 'two', got {sided!r}")
-    if isinstance(theta_hat, bool) or not isinstance(theta_hat, (int, float)):
-        raise DomainError(f"theta_hat must be a real number, got {theta_hat!r}")
-    theta_hat = float(theta_hat)
-    if math.isnan(theta_hat) or not (-1.0 <= theta_hat <= 1.0):
-        raise DomainError(f"theta_hat must be in [-1, 1], got {theta_hat!r}")
+    theta_hat = _check_real("theta_hat", theta_hat, -1.0, 1.0)
     s1, s2 = approx.sigma1, approx.sigma2
     if abs(theta_hat) == 1.0:
         return 0.0
@@ -172,12 +154,8 @@ def confidence_interval(theta_hat: float, approx: SplitLognormalApprox,
     theta-hat and satisfies cdf(theta_hat; lower) = 1 - alpha/2,
     cdf(theta_hat; upper) = alpha/2.
     """
-    theta_hat = _check_open_interval("theta_hat", theta_hat)
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise DomainError(f"alpha must be a real number, got {alpha!r}")
-    alpha = float(alpha)
-    if math.isnan(alpha) or not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
+    theta_hat = _check_real("theta_hat", theta_hat, -1.0, 1.0, open_=True)
+    alpha = _check_real("alpha", alpha, 0.0, 1.0, open_=True)
     s1, s2 = approx.sigma1, approx.sigma2
     z = std_normal_quantile(1.0 - 0.5 * alpha)
     if theta_hat >= 0.0:

@@ -208,21 +208,20 @@ class OptimizerResult:
     argmin: tuple
     value: float
     converged: bool
-    iterations: int
 
 
 def minimize(
     f: Callable[[np.ndarray], float],
     start: Sequence[float],
     tol: float = 1e-8,
-    fatol: float = 1e-12,
     max_iterations: int = 10000,
 ) -> OptimizerResult:
     """Nelder-Mead simplex minimisation (deterministic for fixed inputs).
 
-    ``tol`` bounds the final simplex diameter (xatol); ``fatol`` bounds the
-    spread of function values over the simplex. Non-convergence is reported
-    via ``converged=False`` rather than raised, so callers can decide.
+    ``tol`` bounds the final simplex diameter (xatol); the spread of
+    function values over the simplex is bounded by 1e-12 (fatol).
+    Non-convergence is reported via ``converged=False`` rather than raised,
+    so callers can decide.
     """
     x0 = np.asarray(start, dtype=float)
     if x0.ndim != 1 or x0.size == 0 or not np.all(np.isfinite(x0)):
@@ -230,7 +229,7 @@ def minimize(
     res = scipy.optimize.minimize(
         f, x0, method="Nelder-Mead",
         options={
-            "xatol": tol, "fatol": fatol,
+            "xatol": tol, "fatol": 1e-12,
             "maxiter": max_iterations, "maxfev": max_iterations,
         },
     )
@@ -238,7 +237,6 @@ def minimize(
         argmin=tuple(float(v) for v in res.x),
         value=float(res.fun),
         converged=bool(res.success),
-        iterations=int(res.nit),
     )
 
 

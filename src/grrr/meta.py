@@ -23,7 +23,8 @@ curvature at tau = 0. Infeasible moment proposals (Beta variance >= mean
 times complement) are rejected with a graded penalty, never a crash. A fit
 is ``converged`` when the optimizer converged and, for the split-lognormal
 model, the quadrature met its tolerance at the optimum and at every point
-of the Hessian's stencil.
+of the Hessian's stencil. Every fit sums its per-study terms with
+``math.fsum``, so no fit depends on the order of the studies.
 """
 
 from __future__ import annotations
@@ -249,11 +250,11 @@ def fit_direct_dl(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     sig2 = np.array([e.sigma2 for e in kept])
     _, q, df, c, tau2, i2 = _q_statistics(thetas, sig2)
     w = 1.0 / (sig2 + tau2)
-    sw = w.sum()
+    sw = math.fsum(w)
     return MetaFit(
         method="direct-dl",
-        theta_hat=float((w * thetas).sum() / sw),
-        se_theta=float(1.0 / math.sqrt(sw)),
+        theta_hat=math.fsum(w * thetas) / sw,
+        se_theta=1.0 / math.sqrt(sw),
         tau_hat=math.sqrt(tau2),
         se_tau=None,
         i_squared=i2,
@@ -274,8 +275,8 @@ def fit_direct_ml(estimates: Sequence[GrrrEstimate]) -> MetaFit:
 
     def negll(theta: float, tau: float) -> float:
         s = sig2 + tau * tau
-        return 0.5 * float(np.sum(np.log(s) + (thetas - theta) ** 2 / s)
-                           + len(kept) * log_two_pi)
+        return 0.5 * (math.fsum((np.log(s) + (thetas - theta) ** 2 / s).tolist())
+                      + len(kept) * log_two_pi)
 
     return _fit_two_param("direct-ml", negll, theta0, math.sqrt(tau2_dl),
                           len(kept), i2)
@@ -309,8 +310,7 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
         a = psi_bar * common
         b = (1.0 - psi_bar) * common
         ln_b = np.array([log_beta(ai, bi) for ai, bi in zip(a, b)])
-        ll = float(np.sum((a - 1.0) * log_psi + (b - 1.0) * log_psic - ln_b))
-        return -ll
+        return -math.fsum(((a - 1.0) * log_psi + (b - 1.0) * log_psic - ln_b).tolist())
 
     return _fit_two_param("beta", negll, theta0, math.sqrt(tau2_dl),
                           len(kept), None)
@@ -546,7 +546,12 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
     sig2_list = []
     for t in tables:
         est = make_estimate(t, VarianceSpec("approx"), zero_correction=zero_correction)
-        approxes.append(SplitLognormalApprox.from_table(t, zero_correction))
+        if est.sigma1_sq is None:
+            raise DomainError(
+                f"{t.study_id}: boundary proportion with zero_correction=0; "
+                f"delta-method parameters undefined")
+        approxes.append(SplitLognormalApprox(math.sqrt(est.sigma1_sq),
+                                             math.sqrt(est.sigma2_sq)))
         theta_hats.append(est.theta_hat)
         sig2_list.append(est.sigma2)
     theta0, _, _, _, tau2_dl, _ = _q_statistics(np.array(theta_hats), np.array(sig2_list))

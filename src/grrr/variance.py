@@ -109,7 +109,7 @@ class GrrrEstimate:
 # binomial pmf window
 # ---------------------------------------------------------------------------
 
-def binomial_pmf_window(n: int, p: float, floor: float = PMF_FLOOR):
+def binomial_pmf_window(n: int, p: float):
     """Binomial(n, p) pmf over its effective support.
 
     Returns (first_index, pmf) where pmf[k] = P(X = first_index + k). The
@@ -137,10 +137,10 @@ def binomial_pmf_window(n: int, p: float, floor: float = PMF_FLOOR):
     i_dn = np.arange(mode, 0, -1)
     dn = np.cumprod(i_dn / (n - i_dn + 1.0) / odds) if i_dn.size else np.array([])
 
-    keep_up = up >= floor
+    keep_up = up >= PMF_FLOOR
     if not keep_up.all():
         up = up[: int(np.argmin(keep_up))]
-    keep_dn = dn >= floor
+    keep_dn = dn >= PMF_FLOOR
     if not keep_dn.all():
         dn = dn[: int(np.argmin(keep_dn))]
 
@@ -241,6 +241,11 @@ def _corrected_props(table: StudyTable, c: float):
     return p, q, table.n_control + 2.0 * c, table.n_treatment + 2.0 * c
 
 
+def _check_zero_correction(c: float) -> None:
+    if math.isnan(c) or c < 0.0 or math.isinf(c):
+        raise DomainError(f"zero_correction must be finite and >= 0, got {c!r}")
+
+
 def _delta_params_probs(p: float, q: float, n1: float, n2: float):
     mu1 = math.log(q / p)
     s1sq = (1.0 - q) / (q * n2) + (1.0 - p) / (p * n1)
@@ -258,8 +263,7 @@ def delta_method_params(table: StudyTable, zero_correction: float = 0.5):
     sizes adjusted accordingly); with zero_correction = 0 such tables are a
     domain error. Interior tables are never corrected.
     """
-    if math.isnan(zero_correction) or zero_correction < 0.0 or math.isinf(zero_correction):
-        raise DomainError(f"zero_correction must be finite and >= 0, got {zero_correction!r}")
+    _check_zero_correction(zero_correction)
     if table.has_boundary_margin:
         if zero_correction == 0.0:
             raise DomainError(
@@ -315,8 +319,10 @@ def make_estimate(table: StudyTable,
     ``zero_correction`` (beta / split-lognormal paths) replaces boundary
     tables' plug-in proportions with corrected ones before anything else is
     computed; the exact variance then keeps the original arm sizes with the
-    corrected probabilities.
+    corrected probabilities. A negative, infinite or NaN ``zero_correction``
+    is a domain error.
     """
+    _check_zero_correction(zero_correction)
     degenerate = table.double_degenerate
     corrected = table.has_boundary_margin and zero_correction > 0.0
 

@@ -211,13 +211,14 @@ class TestPlainLanguage:
         assert "favours the control" in text
 
     def test_zero_effect_sentence(self):
-        text = render_plain_language(self._fit(0.0))
+        text = render_plain_language(self._fit(0.0), ci=(-0.2, 0.2))
         assert text == ("There is no estimated difference between the treated "
                         "and untreated in the probability of the event.")
 
     def test_benefit_direction_flips_favours(self):
-        harm = render_plain_language(self._fit(-0.4), event_is_harm=True)
-        benefit = render_plain_language(self._fit(-0.4), event_is_harm=False)
+        ci = (-0.6, -0.2)
+        harm = render_plain_language(self._fit(-0.4), ci=ci, event_is_harm=True)
+        benefit = render_plain_language(self._fit(-0.4), ci=ci, event_is_harm=False)
         assert "favours the treatment" in harm
         assert "favours the control" in benefit
 
@@ -390,6 +391,18 @@ class TestMainAnalyze:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_split_model_needs_scales_of_every_study(self, tmp_path, capsys):
+        # a zero arm has no split-lognormal scales without a zero-correction
+        path = _write_dataset(tmp_path, _FOUR_ROWS + ["echo,0,40,8,45"])
+        code = main(["analyze", "--input", path, "--model", "split-lognormal",
+                     "--zero-correction", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error: echo: boundary proportion with "
+                                "zero_correction=0; delta-method parameters "
+                                "undefined\n")
         assert captured.out == ""
 
     def test_missing_file_exit_code(self, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from grrr.core import StudyTable
+from grrr.core import StudyTable, phi_to_theta, q_from_p_theta, theta_from_probs
 from grrr.distribution import (
     SplitLognormalApprox,
     cdf,
@@ -17,6 +17,26 @@ from grrr.distribution import (
 )
 from grrr.errors import DomainError
 from grrr.kernels import std_normal_cdf
+
+_APPROX = SplitLognormalApprox(0.2, 0.3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: theta_from_probs(1.5, 0.2), "p must be in [0, 1], got 1.5"),
+    (lambda: theta_from_probs(0.2, True), "q must be a real number, got True"),
+    (lambda: q_from_p_theta(0.3, float("nan")), "theta must be in [-1, 1], got nan"),
+    (lambda: phi_to_theta(-1.0, 0.3), "phi must be in (-1, 1), got -1.0"),
+    (lambda: phi_to_theta("0.1", 0.3), "phi must be a real number, got '0.1'"),
+    (lambda: loglik(1, 0.0, _APPROX), "theta_hat must be in (-1, 1), got 1.0"),
+    (lambda: cdf(0.2, float("nan"), _APPROX), "theta must be in (-1, 1), got nan"),
+    (lambda: cdf(1.5, 0.0, _APPROX), "theta_hat must be in [-1, 1], got 1.5"),
+    (lambda: p_value(False, _APPROX), "theta_hat must be a real number, got False"),
+    (lambda: confidence_interval(0.2, _APPROX, alpha=1), "alpha must be in (0, 1), got 1.0"),
+])
+def test_argument_checks_name_the_argument_and_its_interval(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 # (theta, sigma1, sigma2) configurations spanning both branches and a wide
 # scale range

@@ -384,38 +384,36 @@ class TestSplitLikelihoodOracle:
 
 class TestSplitLognormalModel:
     def test_likelihood_matches_quad_oracle(self):
-        # reproduce the fitted maximum against scipy.integrate.quad on the
-        # same integrand definition
-        tables = _SIX_TABLES
+        # reproduce bcg's fitted maximum, at an interior tau-hat, against
+        # scipy.integrate.quad on the same integrand definition
+        import scipy.stats
+
+        tables = _bcg()
         fit = fit_split_lognormal_model(tables)
-        approxes = [SplitLognormalApprox.from_table(t) for t in tables]
-        theta_hats = [make_estimate(t, VarianceSpec("approx"),
-                                    zero_correction=0.5).theta_hat
-                      for t in tables]
+        assert fit.tau_hat > 0.0
+        theta_hats, approxes = _split_inputs(tables)
 
         def negll(theta, tau):
-            psi_bar = 0.5 * (1.0 + theta)
-            shapes = beta_reparam(psi_bar, 0.25 * tau * tau)
+            shapes = beta_reparam(0.5 * (1.0 + theta), 0.25 * tau * tau)
+            a, b = shapes.alpha, shapes.beta
+            mode = (a - 1.0) / (a + b - 2.0) if min(a, b) > 1.0 else 0.5
             total = 0.0
             for th, ap in zip(theta_hats, approxes):
                 def f(psi):
                     dens = pdf(th, 2 * psi - 1, ap)
-                    return dens * scipy.stats.beta.pdf(psi, shapes.alpha, shapes.beta)
+                    return dens * scipy.stats.beta.pdf(psi, a, b)
 
-                val, _ = scipy.integrate.quad(f, 0.0, 1.0, limit=400,
+                # the kink psi = 1/2, the study's peak and the Beta mode
+                points = sorted({0.5, (1 + th) / 2, mode})
+                val, _ = scipy.integrate.quad(f, 0.0, 1.0, points=points, limit=400,
                                               epsabs=1e-12, epsrel=1e-10)
                 total -= math.log(val)
             return total
 
-        import scipy.stats
-
-        if fit.tau_hat > 0.0:
-            assert -fit.loglik == pytest.approx(negll(fit.theta_hat, fit.tau_hat),
-                                                rel=1e-6)
-            # the reported optimum beats nearby points of the oracle surface
-            for dt, du in [(2e-3, 0.0), (-2e-3, 0.0), (0.0, 2e-3)]:
-                tau_alt = fit.tau_hat + du
-                assert negll(fit.theta_hat + dt, tau_alt) >= -fit.loglik - 1e-7
+        assert -fit.loglik == pytest.approx(negll(fit.theta_hat, fit.tau_hat), rel=1e-6)
+        # the reported optimum beats nearby points of the oracle surface
+        for dt, du in [(2e-3, 0.0), (-2e-3, 0.0), (0.0, 2e-3)]:
+            assert negll(fit.theta_hat + dt, fit.tau_hat + du) >= -fit.loglik - 1e-7
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_point_mass_continuity_near_boundary(self):
@@ -474,19 +472,13 @@ class TestSplitLognormalModel:
         with pytest.raises(DomainError):
             fit_split_lognormal_model(_tables([(2, 10, 5, 10)]))
 
-    @pytest.mark.parametrize("dataset", ["bcg", "streptokinase"])
-    def test_row_order_does_not_matter(self, dataset):
-        path = resources.files("grrr.data").joinpath(dataset + ".csv")
-        tables = parse_dataset(str(path))
-        fields = ("theta_hat", "se_theta", "tau_hat", "se_tau", "loglik",
-                  "converged", "restart_thetas")
-        base = fit_split_lognormal_model(tables)
-        for seed in (1, 2, 3):
-            shuffled = list(tables)
-            random.Random(seed).shuffle(shuffled)
-            fit = fit_split_lognormal_model(shuffled)
-            for name in fields:
-                assert getattr(fit, name) == getattr(base, name), (seed, name)
+    def test_missing_scales_raise_domain_error(self):
+        # a zero arm has no scales when no zero-correction is granted
+        rows = [(3, 50, 10, 48), (0, 40, 8, 45), (2, 60, 12, 55)]
+        with pytest.raises(DomainError, match="^t1: boundary proportion with zero_correction=0"):
+            fit_split_lognormal_model(_tables(rows), zero_correction=0.0)
+        with pytest.raises(DomainError, match="^zero_correction must be finite"):
+            fit_split_lognormal_model(_tables(rows[:1] + rows[2:]), zero_correction=-0.5)
 
     def test_converged_needs_the_rule_within_tolerance(self, monkeypatch):
         # the same optimum, but every integral reported over tolerance
@@ -507,6 +499,28 @@ class TestSplitLognormalModel:
         rows = [(20, 100, 30, 100), (21, 100, 30, 100), (20, 100, 31, 100),
                 (19, 100, 29, 100)]
         assert fit_split_lognormal_model(_tables(rows)).converged
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("dataset", ["bcg", "streptokinase"])
+    @pytest.mark.parametrize("model", ["direct-dl", "direct-ml", "beta", "split-lognormal"])
+    def test_row_order_does_not_matter(self, model, dataset):
+        # every MetaFit field, restart_thetas included, bit for bit; each of
+        # these shuffles changed the DL, ML and beta fits on both datasets
+        # while their per-study terms were summed in row order
+        tables = parse_dataset(str(resources.files("grrr.data").joinpath(dataset + ".csv")))
+        if model == "split-lognormal":
+            inputs, fit = tables, fit_split_lognormal_model
+        else:
+            inputs = [make_estimate(t, VarianceSpec("exact"), zero_correction=0.5)
+                      for t in tables]
+            fit = {"direct-dl": fit_direct_dl, "direct-ml": fit_direct_ml,
+                   "beta": fit_beta_model}[model]
+        base = fit(inputs)
+        for seed in (4, 5, 7):
+            shuffled = list(inputs)
+            random.Random(seed).shuffle(shuffled)
+            assert fit(shuffled) == base, seed
 
 
 class TestMetaFitInvariants:

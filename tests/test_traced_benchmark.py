@@ -4,6 +4,7 @@ under that tracer, so renaming or bypassing a wrapped name fails here rather
 than silently emptying a per-layer metric of the traced benchmark."""
 
 import importlib.util
+import os
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -67,3 +68,16 @@ def test_traced_analysis_is_unchanged_and_counted(model):
         assert counts["kernels.quad_panels"] > 0
         assert counts["kernels.quad_unconverged"] == 0
     assert all(getattr(mod, name) is fn for (mod, name), fn in originals.items())
+
+
+def test_import_times_finds_scipy_optimize_under_grrr_cli():
+    """The traced benchmark reads import.scipy_optimize_s from ``python -X
+    importtime -c "import grrr.cli"`` and fails the whole run when that
+    import no longer pulls in scipy.optimize. This test goes once the
+    benchmark times its imports itself (ROADMAP direction 1)."""
+    tracing = _load_tracing()
+    tracing.IMPORT_STARTS = 1
+    src = Path(cli.__file__).resolve().parents[1]
+    times = tracing.import_times(dict(os.environ, PYTHONPATH=str(src)))
+    assert times["import.grrr_cli_s"] > 0.0
+    assert times["import.scipy_optimize_s"] > 0.0

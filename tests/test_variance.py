@@ -371,6 +371,14 @@ class TestMakeEstimate:
         est = make_estimate(t, VarianceSpec("approx"))
         assert est.sigma2 == pytest.approx(variance_exact(t), abs=1e-15)
 
+    @pytest.mark.parametrize("correction", [-0.5, float("nan"), math.inf])
+    def test_invalid_correction(self, correction):
+        # interior tables too: nothing is corrected there, but the value is
+        # still outside input
+        for t in (_table(0, 12, 4, 15), _table(2, 10, 5, 10)):
+            with pytest.raises(DomainError, match="zero_correction must be finite"):
+                make_estimate(t, zero_correction=correction)
+
     def test_estimate_validation(self):
         with pytest.raises(DomainError):
             GrrrEstimate(study_id="x", theta_hat=1.5, sigma2=0.1)
