@@ -11,7 +11,8 @@ contracts are tested here once:
 * ``integrate_vector``      one fixed composite Gauss-Kronrod (G7,K15)
                             rule per row on caller-given panels, in log
                             space, with each row's K15 - G7 error estimate
-* ``minimize``              Nelder-Mead simplex (scipy), deterministic
+* ``minimize``              Nelder-Mead simplex (scipy), deterministic,
+                            xatol 1e-8, fatol 1e-12, <= 10,000 evaluations
 * ``make_rng``              PCG64-backed, reproducible per seed
 """
 
@@ -210,18 +211,13 @@ class OptimizerResult:
     converged: bool
 
 
-def minimize(
-    f: Callable[[np.ndarray], float],
-    start: Sequence[float],
-    tol: float = 1e-8,
-    max_iterations: int = 10000,
-) -> OptimizerResult:
+def minimize(f: Callable[[np.ndarray], float], start: Sequence[float]) -> OptimizerResult:
     """Nelder-Mead simplex minimisation (deterministic for fixed inputs).
 
-    ``tol`` bounds the final simplex diameter (xatol); the spread of
-    function values over the simplex is bounded by 1e-12 (fatol).
-    Non-convergence is reported via ``converged=False`` rather than raised,
-    so callers can decide.
+    The final simplex diameter is bounded by 1e-8 (xatol) and the spread
+    of function values over it by 1e-12 (fatol), within 10,000 iterations
+    and function evaluations. Non-convergence is reported via
+    ``converged=False`` rather than raised, so callers can decide.
     """
     x0 = np.asarray(start, dtype=float)
     if x0.ndim != 1 or x0.size == 0 or not np.all(np.isfinite(x0)):
@@ -229,8 +225,7 @@ def minimize(
     res = scipy.optimize.minimize(
         f, x0, method="Nelder-Mead",
         options={
-            "xatol": tol, "fatol": 1e-12,
-            "maxiter": max_iterations, "maxfev": max_iterations,
+            "xatol": 1e-8, "fatol": 1e-12, "maxiter": 10_000, "maxfev": 10_000,
         },
     )
     return OptimizerResult(

@@ -13,18 +13,20 @@
   study's integral is taken in the study's own Gaussian coordinate, where
   its density is exactly normal, with one fixed composite (G7,K15) rule.
 
-All likelihood fits share one driver: Nelder-Mead on transformed
-coordinates u = atanh(theta), v = ln(tau + eps); deterministic, sign-
-symmetric restart offsets plus a polish run from the best point; standard
-errors from a central-difference Hessian on the natural scale with step
-max(1e-4, 1e-4 |param|). A boundary solution (tau-hat < 1e-6) is reported
-as tau-hat = 0 with se_tau = 0 and se_theta from the one-dimensional theta
-curvature at tau = 0. Infeasible moment proposals (Beta variance >= mean
-times complement) are rejected with a graded penalty, never a crash. A fit
-is ``converged`` when the optimizer converged and, for the split-lognormal
-model, the quadrature met its tolerance at the optimum and at every point
-of the Hessian's stencil. Every fit sums its per-study terms with
-``math.fsum``, so no fit depends on the order of the studies.
+Every likelihood fit makes one search. Direct ML maximises its exact
+tau-profile, on which theta is a closed-form weighted mean; the beta and
+split-lognormal fits make one Nelder-Mead run from the DL start on
+transformed coordinates u = atanh(theta), v = ln(tau + eps). All of them
+share one tail: standard errors from a central-difference Hessian on the
+natural scale with step max(1e-4, 1e-4 |param|), and a boundary solution
+(tau-hat < 1e-6) reported as tau-hat = 0 with se_tau = 0 and se_theta from
+the one-dimensional theta curvature at tau = 0. Infeasible moment proposals
+(Beta variance >= mean times complement) are rejected with a graded
+penalty, never a crash. A fit is ``converged`` when its search converged
+and, for the split-lognormal model, the quadrature met its tolerance at
+the optimum and at every point of the Hessian's stencil. Every fit sums
+its per-study terms with ``math.fsum``, so no fit depends on the order of
+the studies.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ _TAU_EPS = 1e-8          # shift inside v = ln(tau + eps)
 _TAU_BOUNDARY = 1e-6     # below this, tau-hat is reported as exactly 0
 _THETA_CAP = 1.0 - 1e-12
 _PENALTY = 1e10
-_RESTART_OFFSETS = ((0.0, 0.0), (0.35, 0.3), (-0.35, 0.3), (0.0, -0.6))
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,9 @@ class MetaFit:
     ``i_squared`` is only defined for the direct (normal-model) fits;
     ``loglik`` only for likelihood fits; ``se_tau`` is None for DL (no
     analogue is defined) and 0.0 at a likelihood boundary tau-hat = 0.
-    ``restart_thetas`` records the pooled estimate of each restart run
-    (diagnostics; empty for DL).
+    ``restart_thetas`` is ``(theta_hat,)``, the theta of the fit's one
+    search, on every likelihood fit (empty for DL); the benchmark reads it
+    until the library reports its own diagnostics.
     """
 
     method: str
@@ -199,28 +201,13 @@ def _hessian_se(negll, theta_hat: float, tau_hat: float, boundary: bool):
     return math.sqrt(d2u / det), math.sqrt(d2t / det), stencil
 
 
-def _fit_two_param(method: str, negll, theta0: float, tau0: float,
-                   n_used: int, i_squared: Optional[float],
-                   accurate=lambda theta, tau: True) -> MetaFit:
-    """Shared ML driver over (theta, tau). The fit is reported converged
-    when the optimizer converged and ``accurate`` holds at the optimum and
-    at every point of the Hessian's difference stencil."""
-
-    def obj(x):
-        theta = _clip_theta(math.tanh(x[0]))
-        tau = max(0.0, math.exp(min(x[1], 50.0)) - _TAU_EPS)
-        return negll(theta, tau)
-
-    u0 = math.atanh(_clip_theta(theta0))
-    v0 = math.log(max(tau0, 0.0) + _TAU_EPS)
-
-    runs = [minimize(obj, (u0 + du, v0 + dv), tol=1e-6) for du, dv in _RESTART_OFFSETS]
-    best = min(runs, key=lambda r: r.value)
-    polish = minimize(obj, best.argmin, tol=1e-8)
-    final = polish if polish.value <= best.value else best
-
-    theta_hat = _clip_theta(math.tanh(final.argmin[0]))
-    tau_hat = max(0.0, math.exp(min(final.argmin[1], 50.0)) - _TAU_EPS)
+def _likelihood_fit(method: str, negll, theta_hat: float, tau_hat: float,
+                    value: float, n_used: int, converged: bool,
+                    i_squared: Optional[float] = None,
+                    accurate=lambda theta, tau: True) -> MetaFit:
+    """The boundary snap, standard errors and ``MetaFit`` of every
+    likelihood fit: converged when the search converged and ``accurate``
+    holds at every point of the Hessian's stencil, the optimum included."""
     boundary = tau_hat < _TAU_BOUNDARY
     if boundary:
         tau_hat = 0.0
@@ -232,11 +219,25 @@ def _fit_two_param(method: str, negll, theta0: float, tau0: float,
         tau_hat=tau_hat,
         se_tau=se_tau,
         i_squared=i_squared,
-        loglik=-final.value,
+        loglik=-value,
         n_studies_used=n_used,
-        converged=final.converged and all(accurate(t, u) for t, u in stencil),
-        restart_thetas=tuple(_clip_theta(math.tanh(r.argmin[0])) for r in runs),
+        converged=converged and all(accurate(t, u) for t, u in stencil),
+        restart_thetas=(theta_hat,),
     )
+
+
+def _fit_two_param(method: str, negll, theta0: float, tau0: float,
+                   n_used: int, accurate=lambda theta, tau: True) -> MetaFit:
+    """One Nelder-Mead search over (theta, tau) from (theta0, tau0)."""
+
+    def point(x):
+        return (_clip_theta(math.tanh(x[0])),
+                max(0.0, math.exp(min(x[1], 50.0)) - _TAU_EPS))
+
+    res = minimize(lambda x: negll(*point(x)),
+                   (math.atanh(_clip_theta(theta0)), math.log(max(tau0, 0.0) + _TAU_EPS)))
+    return _likelihood_fit(method, negll, *point(res.argmin), res.value, n_used,
+                           res.converged, accurate=accurate)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +266,16 @@ def fit_direct_dl(estimates: Sequence[GrrrEstimate]) -> MetaFit:
 
 
 def fit_direct_ml(estimates: Sequence[GrrrEstimate]) -> MetaFit:
-    """Maximum likelihood fit of theta-hat_i ~ N(theta, sigma_i^2 + tau^2)."""
+    """Maximum likelihood fit of theta-hat_i ~ N(theta, sigma_i^2 + tau^2)
+    on its exact tau-profile: theta(tau) is the w_i = 1/(sigma_i^2 + tau^2)
+    weighted mean, and the score sum w_i^2 (theta-hat_i - theta)^2 - sum w_i,
+    negative at tau = 2, is scanned on [0, 2] and each + to - change
+    bisected to adjacent floats; tau = 0 is a candidate when its score is
+    <= 0. The candidate of least negll wins."""
     kept = _usable(estimates, "fit_direct_ml", require_interior=False)
     thetas = np.array([e.theta_hat for e in kept])
     sig2 = np.array([e.sigma2 for e in kept])
-    theta0, _, _, _, tau2_dl, i2 = _q_statistics(thetas, sig2)
+    i2 = _q_statistics(thetas, sig2)[5]
 
     log_two_pi = math.log(2.0 * math.pi)
 
@@ -278,8 +284,26 @@ def fit_direct_ml(estimates: Sequence[GrrrEstimate]) -> MetaFit:
         return 0.5 * (math.fsum((np.log(s) + (thetas - theta) ** 2 / s).tolist())
                       + len(kept) * log_two_pi)
 
-    return _fit_two_param("direct-ml", negll, theta0, math.sqrt(tau2_dl),
-                          len(kept), i2)
+    def profile(tau: float):
+        """theta(tau) and the score s(tau)."""
+        w = 1.0 / (sig2 + tau * tau)
+        theta = math.fsum((w * thetas).tolist()) / math.fsum(w.tolist())
+        return theta, math.fsum(((w * (thetas - theta)) ** 2 - w).tolist())
+
+    grid = [2.0 * (j / 64) ** 2 for j in range(65)]
+    scores = [profile(tau)[1] for tau in grid]
+    candidates = [0.0] if scores[0] <= 0.0 else []
+    for lo, hi, s_lo, s_hi in zip(grid, grid[1:], scores, scores[1:]):
+        if s_lo > 0.0 >= s_hi:
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
+                lo, hi = (mid, hi) if profile(mid)[1] > 0.0 else (lo, mid)
+                mid = 0.5 * (lo + hi)
+            candidates.append(lo)
+    tau_hat = min(candidates, key=lambda tau: negll(profile(tau)[0], tau))
+    theta_hat = profile(tau_hat)[0]
+    return _likelihood_fit("direct-ml", negll, theta_hat, tau_hat,
+                           negll(theta_hat, tau_hat), len(kept), True, i_squared=i2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +336,7 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
         ln_b = np.array([log_beta(ai, bi) for ai, bi in zip(a, b)])
         return -math.fsum(((a - 1.0) * log_psi + (b - 1.0) * log_psic - ln_b).tolist())
 
-    return _fit_two_param("beta", negll, theta0, math.sqrt(tau2_dl),
-                          len(kept), None)
+    return _fit_two_param("beta", negll, theta0, math.sqrt(tau2_dl), len(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -575,4 +598,4 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
         return -math.fsum(log_terms(theta, tau)[0])
 
     return _fit_two_param("split-lognormal", negll, theta0, math.sqrt(tau2_dl),
-                          len(tables), None, accurate=lambda th, ta: log_terms(th, ta)[1])
+                          len(tables), accurate=lambda th, ta: log_terms(th, ta)[1])

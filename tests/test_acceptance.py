@@ -32,6 +32,7 @@ from grrr.distribution import (
     p_value,
     pdf,
 )
+from grrr.errors import DomainError
 from grrr.kernels import make_rng
 from grrr.meta import (
     beta_reparam,
@@ -516,28 +517,40 @@ class TestCriterion8:
         all_fits.update({("strept", name): fit
                          for name, fit in strept_fits.items()})
 
-        worst_spread = 0.0
-        for (ds, name), fit in all_fits.items():
-            spread = max(abs(r - fit.theta_hat) for r in fit.restart_thetas)
-            worst_spread = max(worst_spread, spread)
-        checks.append(("restarts agree in theta to 1e-5 (all fits)",
-                       worst_spread <= 1e-5, f"worst {worst_spread:.2e}"))
-
         estimates = {"bcg": _estimates(bcg_tables),
                      "strept": _estimates(strept_tables)}
         tables = {"bcg": bcg_tables, "strept": strept_tables}
+        neglls = {}
+        for (ds, name) in all_fits:
+            if name == "direct-ml":
+                neglls[ds, name] = lambda th, ta, e=estimates[ds]: _ml_negll(th, ta, e)
+            elif name == "beta":
+                neglls[ds, name] = lambda th, ta, e=estimates[ds]: _beta_negll(th, ta, e)
+            else:
+                neglls[ds, name] = lambda th, ta, t=tables[ds]: _sln_negll(th, ta, t)
+
+        # each fit's loglik is at least the oracle's at every point of a
+        # (theta, tau) grid about it; infeasible Beta points are skipped
+        worst_margin = math.inf
+        for key, fit in all_fits.items():
+            n = 11 if key[1] == "split-lognormal" else 41
+            for th in np.linspace(fit.theta_hat - 0.3, fit.theta_hat + 0.3, n):
+                for ta in np.linspace(0.01, fit.tau_hat + 0.5, n):
+                    try:
+                        value = neglls[key](float(th), float(ta))
+                    except DomainError:
+                        continue
+                    worst_margin = min(worst_margin, fit.loglik + value)
+        checks.append(("loglik at least the oracle's on a 41 x 41 (split: "
+                       "11 x 11) grid about each fit (all fits)",
+                       worst_margin >= 0.0, f"least margin {worst_margin:.2e}"))
+
         worst_grad = 0.0
         interior = []
         for (ds, name), fit in all_fits.items():
             if fit.tau_hat <= 1e-6:
                 continue  # boundary optimum: no interior gradient condition
-            if name == "direct-ml":
-                negll = lambda th, ta, e=estimates[ds]: _ml_negll(th, ta, e)
-            elif name == "beta":
-                negll = lambda th, ta, e=estimates[ds]: _beta_negll(th, ta, e)
-            else:
-                negll = lambda th, ta, t=tables[ds]: _sln_negll(th, ta, t)
-            grad = _fd_gradient_norm(negll, fit.theta_hat, fit.tau_hat)
+            grad = _fd_gradient_norm(neglls[ds, name], fit.theta_hat, fit.tau_hat)
             interior.append(f"{ds}/{name}")
             worst_grad = max(worst_grad, grad)
         checks.append((f"gradient norm < 1e-4 at interior optima "

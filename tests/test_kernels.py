@@ -278,7 +278,7 @@ class TestMinimize:
         def rosen(x):
             return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
 
-        res = minimize(rosen, (-1.2, 1.0), tol=1e-10, max_iterations=20000)
+        res = minimize(rosen, (-1.2, 1.0))
         assert res.converged
         assert res.argmin[0] == pytest.approx(1.0, abs=1e-5)
         assert res.argmin[1] == pytest.approx(1.0, abs=1e-5)

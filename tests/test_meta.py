@@ -6,13 +6,19 @@ quadrature of the random-effects integrand in psi. None share code with the
 implementation.
 """
 
+import importlib.util
+import io
 import math
 import random
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grrr.meta
 from grrr.cli import parse_dataset
@@ -45,6 +51,41 @@ _THREE = [_est(-0.5, 0.010, "a"), _est(-0.2, 0.020, "b"), _est(-0.35, 0.008, "c"
 def _tables(rows):
     return [StudyTable(f"t{i}", *r) for i, r in enumerate(rows)]
 
+
+# (theta-hat_i, sigma_i^2) of streptokinase plus eight seeded large trials,
+# whose normal profile likelihood has two maxima in tau
+_TWO_MAXIMA = [
+    (-0.7708333333333334, 0.0853614255133974),
+    (-0.4285714285714286, 0.08662477782161256),
+    (0.07595599790466212, 0.012465605421401633),
+    (-0.29744452683817235, 0.009924241311863816),
+    (0.019971160778659014, 0.011299656775549095),
+    (0.0013598876995963849, 0.024079405922735976),
+    (-0.22135416666666663, 0.02731655000522345),
+    (-0.5429344151453686, 0.021144186684606936),
+    (0.08102108768035521, 0.014530769511165928),
+    (-0.036363636363636376, 0.06437845122602215),
+    (0.012987012987012991, 0.042103096698667214),
+    (0.1964285714285714, 0.06229633884204258),
+    (-0.10443199184921037, 0.015525228737915536),
+    (-0.39195804195804196, 0.014240656001400964),
+    (-0.15034562211981561, 0.026002515413612724),
+    (-0.717948717948718, 0.12309084822637598),
+    (0.04483507801698594, 0.00493665188699721),
+    (-0.1875, 0.08581084979390567),
+    (-0.3884615384615384, 0.028716330447004664),
+    (-0.11990686845168796, 0.014668292774207912),
+    (-0.17263501040100138, 0.0017680563787488266),
+    (-0.23102411355603691, 0.0011890784792604092),
+    (-0.2818791946308725, 0.0038463609461052294),
+    (-0.2222222222222222, 0.004311919760396402),
+    (-0.1901840490797546, 0.0071791224582046335),
+    (-0.18590831918505946, 0.0010359680328674483),
+    (-0.20576017723622264, 0.0002897668024631691),
+    (-0.224400871459695, 0.0022136607365768855),
+    (-0.1709401709401709, 0.0031923283175805113),
+    (-0.22627737226277367, 0.0010687231148471148),
+]
 
 _SIX_TABLES = _tables([
     (12, 120, 30, 115), (8, 96, 20, 101), (25, 210, 40, 190),
@@ -161,11 +202,33 @@ class TestDirectML:
         assert a.tau_hat == pytest.approx(b.tau_hat, abs=1e-8)
         assert a.i_squared == pytest.approx(b.i_squared, abs=1e-8)
 
-    def test_restart_thetas_agree(self):
-        fit = fit_direct_ml(_THREE)
-        assert len(fit.restart_thetas) == 4
-        for t in fit.restart_thetas:
-            assert t == pytest.approx(fit.theta_hat, abs=1e-5)
+    def test_finds_the_boundary_maximum_past_a_local_one(self):
+        # streptokinase plus eight seeded large trials (the benchmark's
+        # large-trials seed 13, cumulative-1, exact variance): the profile
+        # has a local maximum at tau ~ 0.053, a local minimum near 0.0245
+        # and its global maximum at tau = 0
+        fit = fit_direct_ml([_est(t, s, f"s{i}") for i, (t, s) in enumerate(_TWO_MAXIMA)])
+        assert fit.tau_hat == 0.0
+        assert fit.loglik == pytest.approx(11.741281011859, abs=1e-9)
+        assert fit.converged
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(st.floats(-0.95, 0.95, exclude_min=True,
+                                              exclude_max=True),
+                                    st.floats(1e-4, 0.2)),
+                          min_size=2, max_size=40))
+    def test_global_profile_maximum_and_label_flip(self, pairs):
+        fit = fit_direct_ml([_est(t, s, f"s{i}") for i, (t, s) in enumerate(pairs)])
+        thetas = np.array([t for t, _ in pairs])
+        v = np.array([s for _, s in pairs]) + np.linspace(0.0, 2.0, 2001)[:, None] ** 2
+        w = 1.0 / v
+        centre = (w * thetas).sum(axis=1, keepdims=True) / w.sum(axis=1, keepdims=True)
+        profile = -0.5 * (np.log(2.0 * math.pi * v) + (thetas - centre) ** 2 / v).sum(axis=1)
+        assert fit.loglik >= profile.max() - 1e-12
+
+        flipped = fit_direct_ml([_est(-t, s, f"s{i}") for i, (t, s) in enumerate(pairs)])
+        assert flipped.theta_hat == -fit.theta_hat
+        assert flipped.tau_hat == fit.tau_hat
 
     def test_recovers_simulated_effect(self):
         rng = np.random.default_rng(99)
@@ -499,6 +562,50 @@ class TestSplitLognormalModel:
         rows = [(20, 100, 30, 100), (21, 100, 30, 100), (20, 100, 31, 100),
                 (19, 100, 29, 100)]
         assert fit_split_lognormal_model(_tables(rows)).converged
+
+    def test_benchmark_registry_fit_converges(self, monkeypatch):
+        # registry-0 of the benchmark's registry workload (seed 1): 208
+        # studies with zero and one-event arms, a negll of magnitude ~38
+        # summed over 208 quadratures
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        registry = workloads.registry_round(1)[0]
+        assert registry.name == "registry-0"
+        fit = fit_split_lognormal_model(parse_dataset(io.StringIO(registry.csv)))
+        assert fit.converged
+        assert fit.loglik == pytest.approx(38.0916290681, abs=1e-9)
+
+
+class TestOneSearch:
+    def _bcg_estimates(self):
+        return [make_estimate(t, VarianceSpec("exact"), zero_correction=0.5)
+                for t in _bcg()]
+
+    def test_restart_thetas_hold_the_one_search(self):
+        bcg = self._bcg_estimates()
+        fits = [fit_direct_ml(_THREE), fit_beta_model(_THREE), fit_direct_ml(bcg),
+                fit_beta_model(bcg), fit_split_lognormal_model(_bcg())]
+        for fit in fits:
+            assert fit.restart_thetas == (fit.theta_hat,), fit.method
+
+    def test_minimize_runs_once_and_never_for_direct_ml(self, monkeypatch):
+        runs = []
+
+        def counted(f, start):
+            runs.append(start)
+            return minimize(f, start)
+
+        minimize = grrr.meta.minimize
+        monkeypatch.setattr(grrr.meta, "minimize", counted)
+        fit_direct_ml(self._bcg_estimates())
+        assert len(runs) == 0
+        fit_beta_model(self._bcg_estimates())
+        assert len(runs) == 1
+        fit_split_lognormal_model(_bcg())
+        assert len(runs) == 2
 
 
 class TestRowOrder:
