@@ -7,7 +7,9 @@ contracts are tested here once:
 
 * ``std_normal_cdf``        abs error < 1e-15 on |x| <= 8
 * ``std_normal_quantile``   Phi(quantile(p)) = p to 1e-12
-* ``log_beta``              error < 1e-13 of the largest log-gamma term
+* ``log_beta``              error < 1e-13 of the largest log-gamma term;
+                            on two shape vectors, element-wise and bitwise
+                            equal to the scalar form
 * ``integrate_vector``      one fixed composite Gauss-Kronrod (G7,K15)
                             rule per row on caller-given panels, in log
                             space, with each row's K15 - G7 error estimate
@@ -117,14 +119,22 @@ def std_normal_quantile(p: float) -> float:
 # log-beta
 # ---------------------------------------------------------------------------
 
-def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) for a, b > 0, via log-gamma.
+def log_beta(a, b):
+    """ln B(a, b) for a, b > 0, via log-gamma: a float for scalar shapes, an
+    array for two equal-length vectors of them, element by element with the
+    same arithmetic as the scalar form.
 
     Accuracy is relative to the largest of the three log-gamma terms (the
     absolute error grows when they cancel, e.g. B(a, b) near 1)."""
-    if not (a > 0.0 and b > 0.0) or math.isinf(a) or math.isinf(b):
+    a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if (a_arr.shape != b_arr.shape or a_arr.ndim > 1
+            or not np.all((a_arr > 0.0) & (b_arr > 0.0)
+                          & (a_arr < math.inf) & (b_arr < math.inf))):
         raise DomainError(f"log_beta: parameters must be finite and > 0, got {(a, b)!r}")
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    lgamma = math.lgamma
+    out = [lgamma(x) + lgamma(y) - lgamma(x + y)
+           for x, y in zip(np.atleast_1d(a_arr).tolist(), np.atleast_1d(b_arr).tolist())]
+    return out[0] if a_arr.ndim == 0 else np.array(out)
 
 
 # ---------------------------------------------------------------------------

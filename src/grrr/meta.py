@@ -333,8 +333,8 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
         common = cap / v - 1.0
         a = psi_bar * common
         b = (1.0 - psi_bar) * common
-        ln_b = np.array([log_beta(ai, bi) for ai, bi in zip(a, b)])
-        return -math.fsum(((a - 1.0) * log_psi + (b - 1.0) * log_psic - ln_b).tolist())
+        return -math.fsum(((a - 1.0) * log_psi + (b - 1.0) * log_psic
+                           - log_beta(a, b)).tolist())
 
     return _fit_two_param("beta", negll, theta0, math.sqrt(tau2_dl), len(kept))
 

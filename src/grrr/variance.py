@@ -3,11 +3,14 @@
 * ``variance_exact``     — E(theta - E theta)^2 over Binomial(N1, p-hat) x
   Binomial(N2, q-hat), summed exactly. Binomial pmfs are built by the
   mode-anchored ratio recursion in linear space (values only decrease moving
-  away from the mode, so there is no overflow), truncated below 1e-300 and
-  renormalised to sum 1. For each control count theta-hat is linear in the
-  treatment count on either side of the tie, so the double sum reduces to
-  prefix sums over the treatment pmf and one sum over the control pmf:
-  O(N1 + N2) time and memory, with no limit on arm size.
+  away from the mode, so there is no overflow), each side stopping at its
+  first value below 1e-300, and renormalised to sum 1: a window of
+  O(sqrt(N p (1-p))) counts plus its tail, built in time and memory of its
+  own size. For each control count theta-hat is linear in the treatment
+  count on either side of the tie, so the double sum reduces to prefix sums
+  over the treatment window and one sum over the control window: time and
+  memory O(sqrt(N1) + sqrt(N2)) for interior proportions, with no limit on
+  arm size.
 * ``variance_bootstrap`` — parametric bootstrap of the same two binomials,
   seedable and deterministic (PCG64; control arm drawn first).
 * ``variance_analytic``  — closed-form approximation from the delta-method
@@ -109,13 +112,38 @@ class GrrrEstimate:
 # binomial pmf window
 # ---------------------------------------------------------------------------
 
+def _ratio_run(ratio, start: int, stop: int, width: int) -> np.ndarray:
+    """Running product ratio(start), ratio(start) ratio(start +- 1), ...
+    over the counts from ``start`` towards ``stop`` (exclusive), cut before
+    its first value below PMF_FLOOR.
+
+    The product is taken in chunks, the first ``width`` counts wide and each
+    later one twice the last, and stops with the chunk that crosses the
+    floor. A chunk continues the previous one's last value, so every value
+    is the same float product as one cumprod over all the counts."""
+    step = 1 if stop >= start else -1
+    parts, last = [], 1.0
+    while start != stop:
+        end = start + step * min(width, abs(stop - start))
+        run = np.cumprod(np.concatenate(([last], ratio(np.arange(start, end, step)))))[1:]
+        keep = run >= PMF_FLOOR
+        if not keep.all():
+            parts.append(run[: int(np.argmin(keep))])
+            break
+        parts.append(run)
+        last, start, width = run[-1], end, 2 * width
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
 def binomial_pmf_window(n: int, p: float):
     """Binomial(n, p) pmf over its effective support.
 
     Returns (first_index, pmf) where pmf[k] = P(X = first_index + k). The
     pmf is built from the mode outwards with the ratio recursion
-    P(i+1)/P(i) = ((n - i)/(i + 1)) (p/(1-p)), truncated where values fall
-    below ``floor``, and renormalised to sum exactly 1.
+    P(i+1)/P(i) = ((n - i)/(i + 1)) (p/(1-p)), each side stopping at its
+    first value below PMF_FLOOR, and renormalised to sum exactly 1. A side's
+    first chunk spans 40 standard deviations, so the cost is
+    O(sqrt(n p (1-p)) + tail), not O(n).
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"binomial_pmf_window: n must be a non-negative integer, got {n!r}")
@@ -129,20 +157,11 @@ def binomial_pmf_window(n: int, p: float):
 
     mode = min(int(math.floor((n + 1) * p)), n)
     odds = p / (1.0 - p)
-
+    width = int(40.0 * math.sqrt(n * p * (1.0 - p))) + 64
     # upward from the mode: f[i+1] = f[i] * ((n - i)/(i + 1)) * odds
-    i_up = np.arange(mode, n)
-    up = np.cumprod((n - i_up) / (i_up + 1.0) * odds) if i_up.size else np.array([])
+    up = _ratio_run(lambda i: (n - i) / (i + 1.0) * odds, mode, n, width)
     # downward: f[i-1] = f[i] * (i / (n - i + 1)) / odds
-    i_dn = np.arange(mode, 0, -1)
-    dn = np.cumprod(i_dn / (n - i_dn + 1.0) / odds) if i_dn.size else np.array([])
-
-    keep_up = up >= PMF_FLOOR
-    if not keep_up.all():
-        up = up[: int(np.argmin(keep_up))]
-    keep_dn = dn >= PMF_FLOOR
-    if not keep_dn.all():
-        dn = dn[: int(np.argmin(keep_dn))]
+    dn = _ratio_run(lambda i: i / (n - i + 1.0) / odds, mode, 0, width)
 
     pmf = np.concatenate((dn[::-1], [1.0], up))
     pmf /= pmf.sum()

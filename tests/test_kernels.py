@@ -129,6 +129,30 @@ class TestLogBeta:
             with pytest.raises(DomainError):
                 log_beta(a, b)
 
+    def test_vectors_match_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(7)
+        a = 10.0 ** rng.uniform(-3, 6, 200)
+        b = 10.0 ** rng.uniform(-3, 6, 200)
+        got = log_beta(a, b)
+        # the scalar form's arithmetic, one element at a time
+        want = np.array([math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+                         for x, y in zip(a.tolist(), b.tolist())])
+        scalar = np.array([log_beta(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        assert isinstance(got, np.ndarray) and got.shape == a.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(scalar.view(np.int64), want.view(np.int64))
+        assert isinstance(log_beta(2.5, 0.7), float)
+
+    def test_vectors_reject_any_bad_element(self):
+        for bad in (0.0, -1.5, float("inf"), float("nan")):
+            for pos in (0, 2):
+                a = np.array([1.0, 2.0, 3.0])
+                a[pos] = bad
+                with pytest.raises(DomainError):
+                    log_beta(a, np.ones(3))
+                with pytest.raises(DomainError):
+                    log_beta(np.ones(3), a)
+
 
 def _quad(log_f, edges, **kw):
     """One-row ``integrate_vector``: (value, error, converged, evals)."""

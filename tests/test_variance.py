@@ -70,6 +70,54 @@ def _brute_force_var(table):
     return e2 - e1 * e1
 
 
+def _full_length_window(n, p):
+    """The window built from the ratio product over all n counts, then cut
+    below PMF_FLOOR: the O(n) construction the bounded one must reproduce
+    bit for bit."""
+    if p == 0.0:
+        return 0, np.array([1.0])
+    if p == 1.0:
+        return n, np.array([1.0])
+
+    mode = min(int(math.floor((n + 1) * p)), n)
+    odds = p / (1.0 - p)
+
+    # upward from the mode: f[i+1] = f[i] * ((n - i)/(i + 1)) * odds
+    i_up = np.arange(mode, n)
+    up = np.cumprod((n - i_up) / (i_up + 1.0) * odds) if i_up.size else np.array([])
+    # downward: f[i-1] = f[i] * (i / (n - i + 1)) / odds
+    i_dn = np.arange(mode, 0, -1)
+    dn = np.cumprod(i_dn / (n - i_dn + 1.0) / odds) if i_dn.size else np.array([])
+
+    keep_up = up >= variance_module.PMF_FLOOR
+    if not keep_up.all():
+        up = up[: int(np.argmin(keep_up))]
+    keep_dn = dn >= variance_module.PMF_FLOOR
+    if not keep_dn.all():
+        dn = dn[: int(np.argmin(keep_dn))]
+
+    pmf = np.concatenate((dn[::-1], [1.0], up))
+    pmf /= pmf.sum()
+    return mode - len(dn), pmf
+
+
+def _first_chunk(n, p):
+    return int(40.0 * math.sqrt(n * p * (1.0 - p))) + 64
+
+
+def _window_grid():
+    fixed = [(n, p) for n in (0, 1, 2, 37, 10_000)
+             for p in (0.0, 1e-12, 1e-6, 0.5, 1.0 - 1e-9, 1.0)]
+    # the two arms of the mega-trial, and Poisson-like tails longer than
+    # the first chunk
+    fixed += [(500_000, 0.27), (500_000, 0.3), (100_000, 1e-6), (100_000, 1.0 - 1e-6)]
+    rng = np.random.default_rng(20261020)
+    drawn = [(int(rng.integers(0, 200_000)), float(rng.random())) for _ in range(40)]
+    drawn += [(int(rng.integers(0, 200_000)), float(10.0 ** rng.uniform(-12, 0)))
+              for _ in range(40)]
+    return fixed + drawn
+
+
 class TestBinomialPmfWindow:
     def test_small_n_full_support(self):
         start, pmf = binomial_pmf_window(6, 0.4)
@@ -99,6 +147,28 @@ class TestBinomialPmfWindow:
         start, pmf = binomial_pmf_window(87, 0.23)
         mode = start + int(np.argmax(pmf))
         assert mode == math.floor(88 * 0.23)
+
+    def test_bitwise_equal_to_full_length_product(self):
+        for n, p in _window_grid():
+            start, pmf = binomial_pmf_window(n, p)
+            want_start, want = _full_length_window(n, p)
+            assert start == want_start, (n, p)
+            assert pmf.dtype == want.dtype and pmf.shape == want.shape, (n, p)
+            assert np.array_equal(pmf.view(np.int64), want.view(np.int64)), (n, p)
+
+    def test_tail_longer_than_first_chunk(self):
+        # Poisson-like tails outgrow a width set by the standard deviation:
+        # the side must keep doubling its chunk until it reaches the floor
+        for n, p in [(100_000, 1e-6), (100_000, 1.0 - 1e-6)]:
+            _, pmf = binomial_pmf_window(n, p)
+            assert len(pmf) > _first_chunk(n, p)
+
+    def test_hundred_million_trial(self):
+        n, p = 10**8, 0.3
+        start, pmf = binomial_pmf_window(n, p)
+        assert len(pmf) < 40 * math.sqrt(n)
+        assert abs(pmf.sum() - 1.0) < 1e-12
+        assert start <= math.floor((n + 1) * p) < start + len(pmf)
 
     def test_invalid(self):
         with pytest.raises(DomainError):
@@ -176,6 +246,10 @@ class TestVarianceExactLargeArms:
         assert math.isfinite(exact) and exact > 0.0
         boot = variance_bootstrap(_MEGA, replicates=100_000, seed=0)
         assert abs(boot - exact) < 6.0 * exact * math.sqrt(2.0 / 100_000)
+
+    def test_mega_trial_value_is_unchanged(self):
+        # the figure of the full-length pmf construction, to the last bit
+        assert variance_exact(_MEGA) == 8.160182284974451e-06
 
     def test_mega_trial_against_analytic(self):
         # the delta-method normals are accurate at this size
