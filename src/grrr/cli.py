@@ -261,13 +261,33 @@ def _cell(x):
     return "" if x is None else (repr(x) if isinstance(x, float) else x)
 
 
+def _json_bytes(obj) -> bytes:
+    """The one JSON writer: two-space indent, keys in insertion order."""
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+def _csv_bytes(header, rows) -> bytes:
+    """The one CSV writer: a header and rows, every cell through ``_cell``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(x) for x in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _study_fields(r: StudyRecord) -> dict:
+    """The per-study JSON fields that ``analyze`` and ``estimate`` share."""
+    return {"study_id": r.study_id, "theta_hat": r.theta_hat, "sigma2": r.sigma2,
+            "ci_lower": r.ci_lower, "ci_upper": r.ci_upper, "ci_note": r.ci_note}
+
+
 def emit_report(report: AnalysisReport, fmt: str = "json",
                 model: str = "") -> bytes:
     """Serialize a report. JSON keys are emitted in a fixed documented
     order; CSV is the per-study rows plus one row flagged POOLED."""
     fit = report.fit
     if fmt == "json":
-        obj = {
+        return _json_bytes({
             "model": fit.method if not model else model,
             "pooled": {
                 "theta": fit.theta_hat,
@@ -277,42 +297,25 @@ def emit_report(report: AnalysisReport, fmt: str = "json",
             },
             "tau": {"estimate": fit.tau_hat, "se": fit.se_tau},
             "i_squared": fit.i_squared,
-            "studies": [
-                {
-                    "study_id": r.study_id,
-                    "theta_hat": r.theta_hat,
-                    "sigma2": r.sigma2,
-                    "ci_lower": r.ci_lower,
-                    "ci_upper": r.ci_upper,
-                    "ci_note": r.ci_note,
-                    "used": r.used,
-                    "discard_reason": r.discard_reason,
-                }
-                for r in report.per_study
-            ],
+            "studies": [{**_study_fields(r), "used": r.used,
+                         "discard_reason": r.discard_reason}
+                        for r in report.per_study],
             "summary": report.summary_text,
             "alpha": report.alpha,
             "loglik": fit.loglik,
             "n_studies_used": fit.n_studies_used,
             "converged": fit.converged,
             "dataset_sha256": report.dataset_hash,
-        }
-        return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+        })
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["study_id", "theta", "se", "sigma2", "ci_lower",
-                         "ci_upper", "used", "note", "tau", "i_squared"])
-        for r in report.per_study:
-            note = r.discard_reason or r.ci_note
-            writer.writerow([r.study_id, _cell(r.theta_hat),
-                             _cell(math.sqrt(r.sigma2)), _cell(r.sigma2),
-                             _cell(r.ci_lower), _cell(r.ci_upper),
-                             "yes" if r.used else "no", _cell(note), "", ""])
-        writer.writerow(["POOLED", _cell(fit.theta_hat), _cell(fit.se_theta),
-                         "", _cell(report.pooled_ci[0]), _cell(report.pooled_ci[1]),
-                         "yes", "", _cell(fit.tau_hat), _cell(fit.i_squared)])
-        return buf.getvalue().encode("utf-8")
+        rows = [[r.study_id, r.theta_hat, math.sqrt(r.sigma2), r.sigma2, r.ci_lower,
+                 r.ci_upper, "yes" if r.used else "no", r.discard_reason or r.ci_note,
+                 None, None]
+                for r in report.per_study]
+        rows.append(["POOLED", fit.theta_hat, fit.se_theta, None, *report.pooled_ci,
+                     "yes", None, fit.tau_hat, fit.i_squared])
+        return _csv_bytes(["study_id", "theta", "se", "sigma2", "ci_lower", "ci_upper",
+                           "used", "note", "tau", "i_squared"], rows)
     raise DomainError(f"unknown output format {fmt!r}")
 
 
@@ -412,25 +415,17 @@ def _cmd_estimate(args) -> int:
     tables = parse_dataset(args.input, swap_arms=args.control_first)
     estimates, records = _study_records(config, tables)
     if args.format == "json":
-        studies = [{"study_id": r.study_id, "theta_hat": r.theta_hat,
-                    "sigma2": r.sigma2, "ci_lower": r.ci_lower,
-                    "ci_upper": r.ci_upper, "ci_note": r.ci_note,
-                    "degenerate": est.degenerate}
-                   for r, est in zip(records, estimates)]
-        obj = {"studies": studies, "alpha": config.alpha,
-               "dataset_sha256": _hash_file(args.input)}
-        sys.stdout.buffer.write((json.dumps(obj, indent=2) + "\n"
-                                 ).encode("utf-8"))
+        out = _json_bytes({
+            "studies": [{**_study_fields(r), "degenerate": est.degenerate}
+                        for r, est in zip(records, estimates)],
+            "alpha": config.alpha,
+            "dataset_sha256": _hash_file(args.input),
+        })
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["study_id", "theta_hat", "sigma2", "ci_lower",
-                         "ci_upper", "note"])
-        for r in records:
-            writer.writerow([r.study_id, _cell(r.theta_hat), _cell(r.sigma2),
-                             _cell(r.ci_lower), _cell(r.ci_upper),
-                             _cell(r.ci_note)])
-        sys.stdout.buffer.write(buf.getvalue().encode("utf-8"))
+        out = _csv_bytes(["study_id", "theta_hat", "sigma2", "ci_lower", "ci_upper", "note"],
+                         [[r.study_id, r.theta_hat, r.sigma2, r.ci_lower, r.ci_upper,
+                           r.ci_note] for r in records])
+    sys.stdout.buffer.write(out)
     sys.stdout.buffer.flush()
     return 0
 
@@ -447,14 +442,10 @@ def _cmd_convert(args) -> int:
             raise DomainError(f"--or-ci expects numbers, got {args.or_ci!r}"
                               ) from None
     theta, theta_ci = convert_mode(args.or_value, ci, args.baseline_risk)
-    obj = {
-        "odds_ratio": args.or_value,
-        "baseline_risk": args.baseline_risk,
-        "theta": theta,
-        "ci_lower": None if theta_ci is None else theta_ci[0],
-        "ci_upper": None if theta_ci is None else theta_ci[1],
-    }
-    sys.stdout.buffer.write((json.dumps(obj, indent=2) + "\n").encode("utf-8"))
+    lo, hi = (None, None) if theta_ci is None else theta_ci
+    sys.stdout.buffer.write(_json_bytes({"odds_ratio": args.or_value,
+                                         "baseline_risk": args.baseline_risk,
+                                         "theta": theta, "ci_lower": lo, "ci_upper": hi}))
     sys.stdout.buffer.flush()
     return 0
 

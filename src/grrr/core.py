@@ -22,7 +22,8 @@ The inverse (the treatment-arm probability implied by p and theta) is
 
 Plug-in estimation uses p-hat = n11/N1, q-hat = n12/N2 with no continuity
 correction; the branch is decided by the exact integer comparison
-n11 * N2 vs n12 * N1. A table with p-hat = q-hat in {0, 1} carries no
+n11 * N2 vs n12 * N1 (equivalently a d vs b c on the cells: treatment
+events a and non-events b, control events c and non-events d). A table with p-hat = q-hat in {0, 1} carries no
 information about the effect ("double-degenerate"): theta-hat is 0 there and
 downstream consumers may discard the study.
 
@@ -41,6 +42,7 @@ from .errors import DatasetError, DomainError
 __all__ = [
     "StudyTable",
     "theta_from_probs",
+    "theta_from_cells",
     "q_from_p_theta",
     "estimate_theta",
     "probs_to_phi",
@@ -116,6 +118,13 @@ class StudyTable:
         return (self.events_treatment in (0, self.n_treatment)
                 or self.events_control in (0, self.n_control))
 
+    @property
+    def cells(self) -> tuple:
+        """(a, b, c, d): treatment events and non-events, control events and
+        non-events."""
+        return (self.events_treatment, self.n_treatment - self.events_treatment,
+                self.events_control, self.n_control - self.events_control)
+
     def complemented(self) -> "StudyTable":
         """Swap the meaning of event and non-event in both arms."""
         return StudyTable(
@@ -152,20 +161,27 @@ def q_from_p_theta(p: float, theta: float) -> float:
     return p + theta * (1.0 - p)
 
 
+def theta_from_cells(a, b, c, d) -> float:
+    """GRRR of a table with treatment events a and non-events b, control
+    events c and non-events d (counts, or counts plus a zero-correction).
+
+    The branch is decided by the cross products a d vs b c, so ties are
+    exact, and swapping events with non-events (a <-> b, c <-> d) negates
+    the result exactly. Integer cells give correctly rounded quotients."""
+    ad, bc = a * d, b * c
+    if ad == bc:
+        return 0.0
+    if ad < bc:
+        return a * (c + d) / (c * (a + b)) - 1.0
+    return 1.0 - b * (c + d) / (d * (a + b))
+
+
 def estimate_theta(table: StudyTable) -> float:
     """Plug-in estimate theta-hat from a 2x2 table (no continuity
-    correction). The q-hat vs p-hat branch is decided by the exact integer
-    cross product, so ties are exact. Double-degenerate tables return 0.0.
+    correction), by ``theta_from_cells`` on its counts. Double-degenerate
+    tables return 0.0.
     """
-    n11, nn1 = table.events_control, table.n_control
-    n12, nn2 = table.events_treatment, table.n_treatment
-    lhs = n12 * nn1  # q_hat * (N1 * N2)
-    rhs = n11 * nn2  # p_hat * (N1 * N2)
-    if lhs == rhs:
-        return 0.0
-    if lhs < rhs:
-        return (n12 * nn1) / (n11 * nn2) - 1.0
-    return 1.0 - ((nn2 - n12) * nn1) / ((nn1 - n11) * nn2)
+    return theta_from_cells(*table.cells)
 
 
 def probs_to_phi(p: float, q: float) -> float:

@@ -171,12 +171,14 @@ def _clip_theta(x: float) -> float:
 
 def _hessian_se(negll, theta_hat: float, tau_hat: float, boundary: bool):
     """Standard errors from the observed information (natural scale), and
-    the (theta, tau) points of the difference stencil."""
-    stencil = []
+    whether ``negll`` (returning a value and whether it is accurate) was
+    accurate at every point of the difference stencil."""
+    accurate = []
 
     def f(theta, tau):
-        stencil.append((theta, tau))
-        return negll(theta, tau)
+        value, ok = negll(theta, tau)
+        accurate.append(ok)
+        return value
 
     h_t = max(1e-4, 1e-4 * abs(theta_hat))
     f0 = f(theta_hat, tau_hat)
@@ -185,7 +187,7 @@ def _hessian_se(negll, theta_hat: float, tau_hat: float, boundary: bool):
     if boundary:
         if d2t <= 0.0 or not math.isfinite(d2t):
             raise ConvergenceError("theta curvature not positive at the optimum")
-        return 1.0 / math.sqrt(d2t), 0.0, stencil
+        return 1.0 / math.sqrt(d2t), 0.0, all(accurate)
     h_u = max(1e-4, 1e-4 * abs(tau_hat))
     if tau_hat - h_u < 0.0:
         h_u = 0.5 * tau_hat
@@ -198,20 +200,21 @@ def _hessian_se(negll, theta_hat: float, tau_hat: float, boundary: bool):
     det = d2t * d2u - dtu * dtu
     if det <= 0.0 or d2t <= 0.0 or not math.isfinite(det):
         raise ConvergenceError("observed information not positive definite")
-    return math.sqrt(d2u / det), math.sqrt(d2t / det), stencil
+    return math.sqrt(d2u / det), math.sqrt(d2t / det), all(accurate)
 
 
 def _likelihood_fit(method: str, negll, theta_hat: float, tau_hat: float,
                     value: float, n_used: int, converged: bool,
-                    i_squared: Optional[float] = None,
-                    accurate=lambda theta, tau: True) -> MetaFit:
+                    i_squared: Optional[float] = None) -> MetaFit:
     """The boundary snap, standard errors and ``MetaFit`` of every
-    likelihood fit: converged when the search converged and ``accurate``
-    holds at every point of the Hessian's stencil, the optimum included."""
+    likelihood fit. ``negll(theta, tau)`` returns the negative log
+    likelihood and whether it is accurate; the fit is converged when the
+    search converged and ``negll`` was accurate at every point of the
+    Hessian's stencil, the optimum included."""
     boundary = tau_hat < _TAU_BOUNDARY
     if boundary:
         tau_hat = 0.0
-    se_theta, se_tau, stencil = _hessian_se(negll, theta_hat, tau_hat, boundary)
+    se_theta, se_tau, accurate = _hessian_se(negll, theta_hat, tau_hat, boundary)
     return MetaFit(
         method=method,
         theta_hat=theta_hat,
@@ -221,23 +224,24 @@ def _likelihood_fit(method: str, negll, theta_hat: float, tau_hat: float,
         i_squared=i_squared,
         loglik=-value,
         n_studies_used=n_used,
-        converged=converged and all(accurate(t, u) for t, u in stencil),
+        converged=converged and accurate,
         restart_thetas=(theta_hat,),
     )
 
 
 def _fit_two_param(method: str, negll, theta0: float, tau0: float,
-                   n_used: int, accurate=lambda theta, tau: True) -> MetaFit:
-    """One Nelder-Mead search over (theta, tau) from (theta0, tau0)."""
+                   n_used: int) -> MetaFit:
+    """One Nelder-Mead search over (theta, tau) from (theta0, tau0);
+    ``negll`` as for ``_likelihood_fit``."""
 
     def point(x):
         return (_clip_theta(math.tanh(x[0])),
                 max(0.0, math.exp(min(x[1], 50.0)) - _TAU_EPS))
 
-    res = minimize(lambda x: negll(*point(x)),
+    res = minimize(lambda x: negll(*point(x))[0],
                    (math.atanh(_clip_theta(theta0)), math.log(max(tau0, 0.0) + _TAU_EPS)))
     return _likelihood_fit(method, negll, *point(res.argmin), res.value, n_used,
-                           res.converged, accurate=accurate)
+                           res.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +306,9 @@ def fit_direct_ml(estimates: Sequence[GrrrEstimate]) -> MetaFit:
             candidates.append(lo)
     tau_hat = min(candidates, key=lambda tau: negll(profile(tau)[0], tau))
     theta_hat = profile(tau_hat)[0]
-    return _likelihood_fit("direct-ml", negll, theta_hat, tau_hat,
-                           negll(theta_hat, tau_hat), len(kept), True, i_squared=i2)
+    return _likelihood_fit("direct-ml", lambda theta, tau: (negll(theta, tau), True),
+                           theta_hat, tau_hat, negll(theta_hat, tau_hat), len(kept), True,
+                           i_squared=i2)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +334,12 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
         v = var_quarter + 0.25 * tau * tau
         vmax = float(v.max())
         if vmax >= cap:
-            return _PENALTY * (1.0 + vmax / cap)
+            return _PENALTY * (1.0 + vmax / cap), True
         common = cap / v - 1.0
         a = psi_bar * common
         b = (1.0 - psi_bar) * common
         return -math.fsum(((a - 1.0) * log_psi + (b - 1.0) * log_psic
-                           - log_beta(a, b)).tolist())
+                           - log_beta(a, b)).tolist()), True
 
     return _fit_two_param("beta", negll, theta0, math.sqrt(tau2_dl), len(kept))
 
@@ -556,28 +561,24 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
     coordinate with one fixed composite (G7,K15) rule (``_SplitMarginal``);
     below the reporting boundary for tau the Beta law is within rounding of
     a point mass, so the common-effect likelihood is used directly.
-    ``converged`` means that the optimizer converged and that the rule's
-    K15 - G7 error estimate was within its tolerance at the reported optimum
-    and at every point of the Hessian's difference stencil. Per-study terms
-    are summed with ``math.fsum`` and every per-study array is reduced row
-    by row, so the fit does not depend on the order of the tables."""
+    Each study's scales come from ``SplitLognormalApprox.from_table``, which
+    raises ``DomainError`` for a boundary table without a zero-correction;
+    its theta-hat and approx variance (for the DL start) from
+    ``make_estimate``. ``converged`` means that the optimizer converged and
+    that the rule's K15 - G7 error estimate was within its tolerance at the
+    reported optimum and at every point of the Hessian's difference stencil,
+    read from the stencil's own evaluations. Per-study terms are summed with
+    ``math.fsum`` and every per-study array is reduced row by row, so the
+    fit does not depend on the order of the tables."""
     tables = list(tables)
     if len(tables) < 2:
         raise DomainError("fit_split_lognormal_model: needs at least 2 studies")
-    approxes = []
-    theta_hats = []
-    sig2_list = []
-    for t in tables:
-        est = make_estimate(t, VarianceSpec("approx"), zero_correction=zero_correction)
-        if est.sigma1_sq is None:
-            raise DomainError(
-                f"{t.study_id}: boundary proportion with zero_correction=0; "
-                f"delta-method parameters undefined")
-        approxes.append(SplitLognormalApprox(math.sqrt(est.sigma1_sq),
-                                             math.sqrt(est.sigma2_sq)))
-        theta_hats.append(est.theta_hat)
-        sig2_list.append(est.sigma2)
-    theta0, _, _, _, tau2_dl, _ = _q_statistics(np.array(theta_hats), np.array(sig2_list))
+    approxes = [SplitLognormalApprox.from_table(t, zero_correction) for t in tables]
+    estimates = [make_estimate(t, VarianceSpec("approx"), zero_correction=zero_correction)
+                 for t in tables]
+    theta_hats = [est.theta_hat for est in estimates]
+    theta0, _, _, _, tau2_dl, _ = _q_statistics(
+        np.array(theta_hats), np.array([est.sigma2 for est in estimates]))
     marginal = _SplitMarginal(theta_hats, approxes)
 
     def log_terms(theta: float, tau: float):
@@ -594,8 +595,8 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
         shapes = beta_reparam(psi_bar, v)
         return marginal.log_terms(shapes.alpha, shapes.beta)
 
-    def negll(theta: float, tau: float) -> float:
-        return -math.fsum(log_terms(theta, tau)[0])
+    def negll(theta: float, tau: float):
+        terms, accurate = log_terms(theta, tau)
+        return -math.fsum(terms), accurate
 
-    return _fit_two_param("split-lognormal", negll, theta0, math.sqrt(tau2_dl),
-                          len(tables), accurate=lambda th, ta: log_terms(th, ta)[1])
+    return _fit_two_param("split-lognormal", negll, theta0, math.sqrt(tau2_dl), len(tables))

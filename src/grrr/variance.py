@@ -19,18 +19,18 @@
   callers fall back to the exact method at the boundary.
 
 ``delta_method_params`` exposes the (mu1, sigma1^2, mu2, sigma2^2) used by
-the analytic method and by the split-lognormal sampling distribution. A
-configurable additive constant (default 0.5, applied to all four cells) is
-available for tables with a zero cell; it is only ever applied when a
-marginal proportion is 0 or 1.
+the analytic method and by the split-lognormal sampling distribution
+(``distribution.SplitLognormalApprox.from_table``, the one source of a
+study's scales). A configurable additive constant (default 0.5) is
+available for tables with a zero cell: one helper adds it to all four cells
+of a table, and only when a marginal proportion is 0 or 1, for every
+quantity computed here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .core import StudyTable, estimate_theta, theta_from_probs
@@ -77,22 +77,17 @@ class VarianceSpec:
 
 @dataclass(frozen=True)
 class GrrrEstimate:
-    """Per-study estimate packet consumed by the meta-analysis fitters.
-
-    ``sigma1_sq``/``sigma2_sq`` are the delta-method variances of
-    ln(1 + theta-hat) and ln(1 - theta-hat); they are None when a marginal
-    proportion sits on the boundary and no zero-correction was applied.
-    ``degenerate`` flags a raw table with p-hat = q-hat in {0, 1};
-    ``corrected`` records whether a zero-correction produced these numbers.
-    """
+    """Per-study estimate packet consumed by the meta-analysis fitters:
+    theta-hat and its within-study variance. ``degenerate`` flags a raw
+    table with p-hat = q-hat in {0, 1}; ``corrected`` records whether a
+    zero-correction produced these numbers. The split-lognormal scales are
+    not part of it: ``SplitLognormalApprox.from_table`` derives them."""
 
     study_id: str
     theta_hat: float
     sigma2: float
     degenerate: bool = False
     corrected: bool = False
-    sigma1_sq: Optional[float] = None
-    sigma2_sq: Optional[float] = None
 
     def __post_init__(self):
         if math.isnan(self.theta_hat) or not (-1.0 <= self.theta_hat <= 1.0):
@@ -102,10 +97,6 @@ class GrrrEstimate:
         if self.degenerate and not self.corrected:
             if self.theta_hat != 0.0 or self.sigma2 != 0.0:
                 raise DomainError(f"{self.study_id}: degenerate estimate must be (0, 0)")
-        for name in ("sigma1_sq", "sigma2_sq"):
-            v = getattr(self, name)
-            if v is not None and (math.isnan(v) or math.isinf(v) or v <= 0.0):
-                raise DomainError(f"{self.study_id}: {name} must be finite and > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +245,17 @@ def _bootstrap_probs(n1: int, p: float, n2: int, q: float,
 # delta-method parameters and the analytic approximation
 # ---------------------------------------------------------------------------
 
-def _corrected_props(table: StudyTable, c: float):
-    p = (table.events_control + c) / (table.n_control + 2.0 * c)
-    q = (table.events_treatment + c) / (table.n_treatment + 2.0 * c)
-    return p, q, table.n_control + 2.0 * c, table.n_treatment + 2.0 * c
-
-
-def _check_zero_correction(c: float) -> None:
-    if math.isnan(c) or c < 0.0 or math.isinf(c):
-        raise DomainError(f"zero_correction must be finite and >= 0, got {c!r}")
+def _plugin_cells(table: StudyTable, zero_correction: float):
+    """The cells (a, b, c, d) a study is computed from, and whether they are
+    corrected: the table's own counts, or each count plus
+    ``zero_correction`` when an arm proportion is 0 or 1 and the correction
+    is positive. Arm sizes are a + b and c + d, proportions a/(a + b) and
+    c/(c + d)."""
+    if math.isnan(zero_correction) or zero_correction < 0.0 or math.isinf(zero_correction):
+        raise DomainError(f"zero_correction must be finite and >= 0, got {zero_correction!r}")
+    if table.has_boundary_margin and zero_correction > 0.0:
+        return tuple(x + zero_correction for x in table.cells), True
+    return table.cells, False
 
 
 def _delta_params_probs(p: float, q: float, n1: float, n2: float):
@@ -282,17 +275,12 @@ def delta_method_params(table: StudyTable, zero_correction: float = 0.5):
     sizes adjusted accordingly); with zero_correction = 0 such tables are a
     domain error. Interior tables are never corrected.
     """
-    _check_zero_correction(zero_correction)
-    if table.has_boundary_margin:
-        if zero_correction == 0.0:
-            raise DomainError(
-                f"{table.study_id}: boundary proportion with zero_correction=0; "
-                f"delta-method parameters undefined")
-        p, q, n1, n2 = _corrected_props(table, zero_correction)
-    else:
-        p, q = table.p_hat, table.q_hat
-        n1, n2 = table.n_control, table.n_treatment
-    return _delta_params_probs(p, q, n1, n2)
+    (a, b, c, d), corrected = _plugin_cells(table, zero_correction)
+    if table.has_boundary_margin and not corrected:
+        raise DomainError(
+            f"{table.study_id}: boundary proportion with zero_correction=0; "
+            f"delta-method parameters undefined")
+    return _delta_params_probs(c / (c + d), a / (a + b), c + d, a + b)
 
 
 def _analytic_probs(p: float, q: float, n1: float, n2: float) -> float:
@@ -327,8 +315,7 @@ def variance_analytic(table: StudyTable) -> float:
 def make_estimate(table: StudyTable,
                   spec: VarianceSpec = VarianceSpec(),
                   zero_correction: float = 0.0) -> GrrrEstimate:
-    """Bundle theta-hat, its within-study variance, and the delta-method
-    variances for one study.
+    """Bundle theta-hat and its within-study variance for one study.
 
     With ``zero_correction = 0`` (the default, used by the direct fitters)
     tables keep their raw plug-ins: double-degenerate tables come back as
@@ -336,43 +323,25 @@ def make_estimate(table: StudyTable,
     theta-hat = +-1 with an exact variance, and the "approx" method
     falls back to the exact variance at the boundary. A positive
     ``zero_correction`` (beta / split-lognormal paths) replaces boundary
-    tables' plug-in proportions with corrected ones before anything else is
-    computed; the exact variance then keeps the original arm sizes with the
-    corrected probabilities. A negative, infinite or NaN ``zero_correction``
-    is a domain error.
+    tables' cells with corrected ones (``_plugin_cells``) before anything
+    else is computed; the exact and bootstrap variances then keep the
+    original arm sizes with the corrected probabilities. A negative,
+    infinite or NaN ``zero_correction`` is a domain error.
     """
-    _check_zero_correction(zero_correction)
+    (a, b, c, d), corrected = _plugin_cells(table, zero_correction)
     degenerate = table.double_degenerate
-    corrected = table.has_boundary_margin and zero_correction > 0.0
-
     if degenerate and not corrected:
         return GrrrEstimate(study_id=table.study_id, theta_hat=0.0, sigma2=0.0,
                             degenerate=True)
 
-    if corrected:
-        p, q, n1c, n2c = _corrected_props(table, zero_correction)
-        theta_hat = theta_from_probs(p, q)
-    else:
-        p, q = table.p_hat, table.q_hat
-        n1c, n2c = table.n_control, table.n_treatment
-        theta_hat = estimate_theta(table)
-
+    p, q = c / (c + d), a / (a + b)
+    theta_hat = theta_from_probs(p, q) if corrected else estimate_theta(table)
     n1, n2 = table.n_control, table.n_treatment
-    if spec.kind == "exact":
-        _, sigma2 = _exact_mean_var(n1, p, n2, q)
-    elif spec.kind == "bootstrap":
+    if spec.kind == "bootstrap":
         sigma2 = _bootstrap_probs(n1, p, n2, q, spec.replicates, spec.seed)
-    else:  # approx
-        if 0.0 < p < 1.0 and 0.0 < q < 1.0:
-            sigma2 = _analytic_probs(p, q, n1c, n2c)
-        else:
-            _, sigma2 = _exact_mean_var(n1, p, n2, q)
-
-    if 0.0 < p < 1.0 and 0.0 < q < 1.0:
-        _, s1sq, _, s2sq = _delta_params_probs(p, q, n1c, n2c)
-    else:
-        s1sq = s2sq = None
-
+    elif spec.kind == "approx" and 0.0 < p < 1.0 and 0.0 < q < 1.0:
+        sigma2 = _analytic_probs(p, q, c + d, a + b)
+    else:   # exact, or approx at the boundary
+        _, sigma2 = _exact_mean_var(n1, p, n2, q)
     return GrrrEstimate(study_id=table.study_id, theta_hat=theta_hat, sigma2=sigma2,
-                        degenerate=degenerate, corrected=corrected,
-                        sigma1_sq=s1sq, sigma2_sq=s2sq)
+                        degenerate=degenerate, corrected=corrected)

@@ -40,9 +40,8 @@ from grrr.meta import (
 from grrr.variance import GrrrEstimate, VarianceSpec, make_estimate
 
 
-def _est(theta, sigma2, sid, s1sq=None, s2sq=None):
-    return GrrrEstimate(study_id=sid, theta_hat=theta, sigma2=sigma2,
-                        sigma1_sq=s1sq, sigma2_sq=s2sq)
+def _est(theta, sigma2, sid):
+    return GrrrEstimate(study_id=sid, theta_hat=theta, sigma2=sigma2)
 
 
 _THREE = [_est(-0.5, 0.010, "a"), _est(-0.2, 0.020, "b"), _est(-0.35, 0.008, "c")]
@@ -562,6 +561,64 @@ class TestSplitLognormalModel:
         rows = [(20, 100, 30, 100), (21, 100, 30, 100), (20, 100, 31, 100),
                 (19, 100, 29, 100)]
         assert fit_split_lognormal_model(_tables(rows)).converged
+
+    @staticmethod
+    def _after_search(monkeypatch):
+        """Patch the search so that ``state["after"]`` is True once it has
+        returned; the likelihood evaluations from then on are the tail's."""
+        state = {"after": False}
+        minimize = grrr.meta.minimize
+
+        def search(f, start):
+            res = minimize(f, start)
+            state["after"] = True
+            return res
+
+        monkeypatch.setattr(grrr.meta, "minimize", search)
+        return state
+
+    def test_each_stencil_point_is_evaluated_once(self, monkeypatch):
+        # bcg's optimum is interior: nine stencil points, each one quadrature
+        # whose accuracy flag the converged test reads (not a second pass)
+        state = self._after_search(monkeypatch)
+        quad, loglik = [], []
+        integrate_vector = grrr.meta.integrate_vector
+        split_loglik = grrr.meta.split_loglik
+
+        def counted_quad(*args, **kw):
+            quad.append(state["after"])
+            return integrate_vector(*args, **kw)
+
+        def counted_loglik(*args):
+            loglik.append(state["after"])
+            return split_loglik(*args)
+
+        monkeypatch.setattr(grrr.meta, "integrate_vector", counted_quad)
+        monkeypatch.setattr(grrr.meta, "split_loglik", counted_loglik)
+        fit = fit_split_lognormal_model(_bcg())
+        assert fit.tau_hat > 0.0 and fit.converged
+        assert sum(quad) == 9 and sum(loglik) == 0
+        # a boundary optimum: three point-mass stencil points, one term a study
+        quad.clear()
+        rows = [(20, 100, 30, 100), (21, 100, 30, 100), (20, 100, 31, 100),
+                (19, 100, 29, 100)]
+        state["after"] = False
+        fit = fit_split_lognormal_model(_tables(rows))
+        assert fit.tau_hat == 0.0
+        assert sum(quad) == 0 and loglik[-12:] == [True] * 12 and not loglik[-13]
+
+    def test_converged_reads_the_stencils_own_evaluations(self, monkeypatch):
+        # only the evaluations after the search miss the rule's tolerance
+        state = self._after_search(monkeypatch)
+        integrate_vector = grrr.meta.integrate_vector
+
+        def late(*args, **kw):
+            values, errors, converged, evals = integrate_vector(*args, **kw)
+            return values, errors, converged and not state["after"], evals
+
+        monkeypatch.setattr(grrr.meta, "integrate_vector", late)
+        fit = fit_split_lognormal_model(_bcg())
+        assert fit.tau_hat > 0.0 and not fit.converged
 
     def test_benchmark_registry_fit_converges(self, monkeypatch):
         # registry-0 of the benchmark's registry workload (seed 1): 208

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import grrr.variance as variance_module
 from grrr.core import StudyTable, estimate_theta
+from grrr.distribution import SplitLognormalApprox
 from grrr.errors import DomainError
 from grrr.kernels import std_normal_pdf
 from grrr.variance import (
@@ -410,7 +411,9 @@ class TestMakeEstimate:
         assert est.theta_hat == pytest.approx(-0.6, abs=1e-15)
         assert est.sigma2 == pytest.approx(variance_exact(t), abs=1e-15)
         assert not est.degenerate and not est.corrected
-        assert est.sigma1_sq is not None and est.sigma2_sq is not None
+        approx = SplitLognormalApprox.from_table(t, 0.0)
+        _, s1sq, _, s2sq = delta_method_params(t, 0.0)
+        assert (approx.sigma1, approx.sigma2) == (math.sqrt(s1sq), math.sqrt(s2sq))
 
     def test_degenerate_packet(self):
         est = make_estimate(_table(0, 10, 0, 20))
@@ -422,14 +425,21 @@ class TestMakeEstimate:
         est = make_estimate(_table(0, 12, 4, 15))
         assert est.theta_hat == -1.0
         assert est.sigma2 > 0.0
-        assert est.sigma1_sq is None  # log-scale variance undefined at -1
+        # log-scale variances undefined at -1
+        t = _table(0, 12, 4, 15)
+        for scales in (delta_method_params, SplitLognormalApprox.from_table):
+            with pytest.raises(DomainError, match="^s: boundary proportion with zero_correction=0"):
+                scales(t, 0.0)
 
     def test_zero_correction_moves_interior(self):
         t = _table(0, 12, 4, 15)
         est = make_estimate(t, zero_correction=0.5)
         assert est.corrected
         assert -1.0 < est.theta_hat < 0.0
-        assert est.sigma1_sq is not None
+        _, s1sq, _, s2sq = delta_method_params(t, zero_correction=0.5)
+        assert s1sq > 0.0 and s2sq > 0.0
+        approx = SplitLognormalApprox.from_table(t, 0.5)
+        assert (approx.sigma1, approx.sigma2) == (math.sqrt(s1sq), math.sqrt(s2sq))
 
     def test_correction_only_touches_boundary_tables(self):
         t = _table(2, 10, 5, 10)
