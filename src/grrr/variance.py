@@ -168,7 +168,8 @@ def _exact_mean_var(n1: int, p: float, n2: int, q: float):
     k (j - c) = 0 = theta-hat, so it joins the lower branch, or the upper one
     at i = 0, where the lower slope is infinite. Each branch's sums of q_j (j - c)^r then
     expand into prefix sums of q_j (j - m)^r, r = 0, 1, 2, about the
-    treatment mean m.
+    treatment mean m. Count products are taken in float64, exact below 2^53,
+    so no arm size overflows.
     """
     i_start, pv = binomial_pmf_window(n1, p)
     j_start, qv = binomial_pmf_window(n2, q)
@@ -178,10 +179,11 @@ def _exact_mean_var(n1: int, p: float, n2: int, q: float):
     prefix = np.zeros((3, len(qv) + 1))
     np.cumsum(np.stack((qv, qv * a, qv * a * a)), axis=1, out=prefix[:, 1:])
 
-    i = np.arange(i_start, i_start + len(pv), dtype=np.int64)
+    i = np.arange(i_start, i_start + len(pv), dtype=float)
     in2 = i * n2
-    # first j above the tie, floor(c) + 1, from an exact integer division
-    split = np.clip(np.where(i > 0, in2 // n1 + 1, 0) - j_start, 0, len(qv))
+    # first j above the tie, floor(c) + 1, by floor division (exact while
+    # i n2 is below 2^53)
+    split = np.clip(np.where(i > 0, in2 // n1 + 1, 0) - j_start, 0, len(qv)).astype(np.int64)
     lower = prefix[:, split]
     branches = ((lower, np.divide(n1, in2, out=np.zeros(len(i)), where=i > 0)),
                 (prefix[:, -1:] - lower,
@@ -210,13 +212,15 @@ def variance_exact(table: StudyTable) -> float:
 # ---------------------------------------------------------------------------
 
 def _theta_of_draws(i: np.ndarray, n1: int, j: np.ndarray, n2: int) -> np.ndarray:
-    in2 = i.astype(np.int64) * n2
-    jn1 = j.astype(np.int64) * n1
+    """theta-hat of drawn counts; products in float64, as in the exact sum."""
+    i, j = i.astype(float), j.astype(float)
+    in2 = i * n2
+    jn1 = j * n1
     lt = jn1 < in2
     gt = jn1 > in2
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_lt = jn1 / in2
-        ratio_gt = ((n2 - j) * n1) / ((n1 - i) * np.int64(n2))
+        ratio_gt = ((n2 - j) * n1) / ((n1 - i) * n2)
     return np.where(lt, ratio_lt - 1.0, np.where(gt, 1.0 - ratio_gt, 0.0))
 
 

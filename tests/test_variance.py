@@ -268,6 +268,24 @@ class TestVarianceExactLargeArms:
         assert mean == pytest.approx(grid_mean, rel=1e-9)
         assert var == pytest.approx(grid_var, rel=1e-9)
 
+    def test_exact_beyond_int64_count_products(self):
+        # 1e10 per arm: i n2 ~ 1e20 is past 2^63; event rates near 1 keep
+        # the pmf windows ~13k counts wide
+        n = 10**10
+        t = _table(n - 27_000, n, n - 30_000, n)
+        exact = make_estimate(t, VarianceSpec("exact")).sigma2
+        approx = make_estimate(t, VarianceSpec("approx")).sigma2
+        assert exact < 1.0
+        assert exact == pytest.approx(approx, rel=1e-3)
+
+    def test_bootstrap_beyond_int64_count_products(self):
+        n = 10**10
+        t = _table(2_700_000_000, n, 3_000_000_000, n)
+        boot = make_estimate(t, VarianceSpec("bootstrap", replicates=20_000)).sigma2
+        approx = make_estimate(t, VarianceSpec("approx")).sigma2
+        assert boot < 1.0
+        assert boot == pytest.approx(approx, rel=0.05)
+
     def test_near_boundary_high_theta_against_extended_precision(self):
         # theta-hat ~ 0.99 with variance ~ 7e-6: forming the variance as
         # E(theta^2) - E(theta)^2 would cancel about five digits
