@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .core import StudyTable, estimate_theta, theta_from_probs
+from .core import StudyTable, theta_from_cells
 from .errors import DomainError
 from .kernels import make_rng, std_normal_cdf
 
@@ -339,7 +339,7 @@ def make_estimate(table: StudyTable,
                             degenerate=True)
 
     p, q = c / (c + d), a / (a + b)
-    theta_hat = theta_from_probs(p, q) if corrected else estimate_theta(table)
+    theta_hat = theta_from_cells(a, b, c, d)
     n1, n2 = table.n_control, table.n_treatment
     if spec.kind == "bootstrap":
         sigma2 = _bootstrap_probs(n1, p, n2, q, spec.replicates, spec.seed)
