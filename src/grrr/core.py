@@ -23,9 +23,10 @@ The inverse (the treatment-arm probability implied by p and theta) is
 Plug-in estimation uses p-hat = n11/N1, q-hat = n12/N2 with no continuity
 correction; the branch is decided by the exact integer comparison
 n11 * N2 vs n12 * N1 (equivalently a d vs b c on the cells: treatment
-events a and non-events b, control events c and non-events d). A table with p-hat = q-hat in {0, 1} carries no
-information about the effect ("double-degenerate"): theta-hat is 0 there and
-downstream consumers may discard the study.
+events a and non-events b, control events c and non-events d). A table with
+p-hat = q-hat in {0, 1} carries no information about the effect
+("double-degenerate"): theta-hat is 0 there and downstream consumers may
+discard the study.
 
 Conversions to and from the odds ratio go through
 phi = (OR - 1)/(OR + 1) = (q - p)/(p + q - 2pq).

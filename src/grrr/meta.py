@@ -581,22 +581,19 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
         np.array(theta_hats), np.array([est.sigma2 for est in estimates]))
     marginal = _SplitMarginal(theta_hats, approxes)
 
-    def log_terms(theta: float, tau: float):
-        """Per-study log likelihoods and whether the rule met its tolerance.
-        An infeasible Beta variance gives one term carrying the penalty."""
+    def negll(theta: float, tau: float):
+        """The negative log likelihood and whether the rule met its
+        tolerance. An infeasible Beta variance gives the penalty."""
         if tau <= _TAU_BOUNDARY:
-            return [split_loglik(th, theta, ap)
-                    for th, ap in zip(theta_hats, approxes)], True
+            return -math.fsum([split_loglik(th, theta, ap)
+                               for th, ap in zip(theta_hats, approxes)]), True
         psi_bar = 0.5 * (1.0 + theta)
         cap = psi_bar * (1.0 - psi_bar)
         v = 0.25 * tau * tau
         if v >= cap:
-            return [-_PENALTY * (1.0 + v / cap)], True
+            return _PENALTY * (1.0 + v / cap), True
         shapes = beta_reparam(psi_bar, v)
-        return marginal.log_terms(shapes.alpha, shapes.beta)
-
-    def negll(theta: float, tau: float):
-        terms, accurate = log_terms(theta, tau)
+        terms, accurate = marginal.log_terms(shapes.alpha, shapes.beta)
         return -math.fsum(terms), accurate
 
     return _fit_two_param("split-lognormal", negll, theta0, math.sqrt(tau2_dl), len(tables))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .core import StudyTable, theta_from_cells
@@ -183,7 +184,8 @@ def _exact_mean_var(n1: int, p: float, n2: int, q: float):
     in2 = i * n2
     # first j above the tie, floor(c) + 1, by floor division (exact while
     # i n2 is below 2^53)
-    split = np.clip(np.where(i > 0, in2 // n1 + 1, 0) - j_start, 0, len(qv)).astype(np.int64)
+    split = np.clip(np.where(i > 0, in2 // n1 + 1, 0) - j_start, 0,
+                    len(qv)).astype(np.int64)
     lower = prefix[:, split]
     branches = ((lower, np.divide(n1, in2, out=np.zeros(len(i)), where=i > 0)),
                 (prefix[:, -1:] - lower,
