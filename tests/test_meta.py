@@ -605,7 +605,7 @@ class TestSplitLognormalModel:
         state["after"] = False
         fit = fit_split_lognormal_model(_tables(rows))
         assert fit.tau_hat == 0.0
-        assert sum(quad) == 0 and loglik[-12:] == [True] * 12 and not loglik[-13]
+        assert sum(quad) == 0 and sum(loglik) == 12
 
     def test_converged_reads_the_stencils_own_evaluations(self, monkeypatch):
         # only the evaluations after the search miss the rule's tolerance
