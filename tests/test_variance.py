@@ -440,11 +440,11 @@ class TestMakeEstimate:
         assert est.degenerate
 
     def test_boundary_without_correction_keeps_plugin(self):
-        est = make_estimate(_table(0, 12, 4, 15))
+        t = _table(0, 12, 4, 15)
+        est = make_estimate(t)
         assert est.theta_hat == -1.0
         assert est.sigma2 > 0.0
         # log-scale variances undefined at -1
-        t = _table(0, 12, 4, 15)
         for scales in (delta_method_params, SplitLognormalApprox.from_table):
             with pytest.raises(DomainError, match="^s: boundary proportion with zero_correction=0"):
                 scales(t, 0.0)
