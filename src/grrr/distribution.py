@@ -43,7 +43,7 @@ __all__ = [
     "confidence_interval",
 ]
 
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_TWO_PI = math.log(math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,26 @@ def _mu_pair(theta: float, s1: float, s2: float):
     return mu1, mu2
 
 
-def loglik(theta_hat: float, theta: float, approx: SplitLognormalApprox) -> float:
+def loglik(theta_hat, theta, approx):
     """Log density of observing theta-hat when the true effect is theta.
-    Finite for all interior arguments."""
-    theta_hat = _check_real("theta_hat", theta_hat, -1.0, 1.0, open_=True)
+    Finite for all interior arguments.
+
+    Array form: for a sequence of k estimates ``theta_hat`` and a sequence
+    of their k ``approx``, the list of the k log densities. The scalar form
+    is the array form of one study, so the two agree bit for bit; each
+    estimate is checked, then theta once."""
+    if isinstance(approx, SplitLognormalApprox):
+        return loglik((theta_hat,), theta, (approx,))[0]
+    theta_hat = [_check_real("theta_hat", th, -1.0, 1.0, open_=True) for th in theta_hat]
     theta = _check_real("theta", theta, -1.0, 1.0, open_=True)
-    s1, s2 = approx.sigma1, approx.sigma2
-    mu1, mu2 = _mu_pair(theta, s1, s2)
-    if theta_hat < 0.0:
-        x = math.log1p(theta_hat)
-        z = (x - mu1) / s1
-        return -0.5 * z * z - math.log(s1) - math.log(_SQRT_TWO_PI) - x
-    x = math.log1p(-theta_hat)
-    z = (x - mu2) / s2
-    return -0.5 * z * z - math.log(s2) - math.log(_SQRT_TWO_PI) - x
+    out = []
+    for th, ap in zip(theta_hat, approx, strict=True):
+        s1, s2 = ap.sigma1, ap.sigma2
+        mu1, mu2 = _mu_pair(theta, s1, s2)
+        x, mu, s = (math.log1p(th), mu1, s1) if th < 0.0 else (math.log1p(-th), mu2, s2)
+        z = (x - mu) / s
+        out.append(-0.5 * z * z - math.log(s) - _LOG_SQRT_TWO_PI - x)
+    return out
 
 
 def pdf(theta_hat: float, theta: float, approx: SplitLognormalApprox) -> float:

@@ -153,13 +153,19 @@ def _usable(estimates: Sequence[GrrrEstimate], method: str,
 def _q_statistics(thetas: np.ndarray, sig2: np.ndarray):
     """Cochran's Q machinery shared by DL and the likelihood fits' starting
     values: (fixed-effect mean, Q, df, C, DL tau^2, I^2). Sums are exact
-    (``math.fsum``), so they do not depend on the order of the studies."""
+    (``math.fsum``), so they do not depend on the order of the studies.
+    ``DomainError`` when C = sum w - sum w^2 / sum w is not > 0, which
+    happens when one weight swamps the rest in rounding."""
     w = 1.0 / sig2
     sw = math.fsum(w)
     theta_fe = math.fsum(w * thetas) / sw
     q = math.fsum(w * (thetas - theta_fe) ** 2)
     df = len(thetas) - 1
     c = sw - math.fsum(w * w) / sw
+    if not c > 0.0:
+        raise DomainError(
+            f"one study's weight swamps the others (Cochran's C = {c!r}): its "
+            f"within-study variance is rounding noise; use a zero-correction")
     tau2 = max(0.0, (q - df) / c)
     i2 = 0.0 if q <= 0.0 else max(0.0, 100.0 * (q - df) / q)
     return theta_fe, q, df, c, tau2, min(i2, 100.0)
@@ -353,31 +359,49 @@ _LN_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SIDES = np.array([-1.0, 1.0])   # column 0: u <= 0, column 1: u >= 0
 _GEOMETRIC = 0.5 * 3.0 ** np.arange(5)   # panel edges at 0.5, 1.5, ..., 40.5 scales
 _OFFSETS = np.concatenate([-_GEOMETRIC[::-1], _GEOMETRIC])
+_BETA_OFFSETS = np.append(_OFFSETS, 0.0)   # a narrow Beta's edges, in sd about its mode
 _TAIL_DROP = 40.0   # window ends: the log integrand this far below its peak
 _STEPS = 60         # cap on Newton iterations and on window doublings
+_RUNGS = 4          # window-end candidates in one call; the bundled data and the
+                    # benchmark's registries need at most 3
 _SPLIT_QUAD_TOL = 1e-5   # K15 - G7 relative to the integral
 
 
-def _log_weight(u, a, b, r, mode=None):
-    """ln[Beta(phi; a, b) |dphi/du|] along a study's Gaussian coordinate u,
-    where phi(u) = e^u / 2 for u <= 0 and 1 - phi(u) = e^(-r u) / 2 for
-    u > 0. Without ``mode`` the -ln B(a, b) term is left to the caller.
-    With ``mode`` (a, b > 1) the Beta part is anchored at its mode, in a
-    form whose linear terms cancel exactly, and its value at the mode is
-    dropped: at extreme shapes (a - 1) ln phi and (b - 1) ln(1 - phi) would
-    otherwise cancel catastrophically."""
-    right = u > 0.0
-    log_t = -np.where(right, r, 1.0) * np.abs(u) - _LN2
-    t = np.exp(log_t)   # phi on the left, 1 - phi on the right
-    log_jac = np.where(right, np.log(r) + log_t, log_t)
+def _log_weight(a, b, r, mode=None):
+    """The function u -> ln[Beta(phi; a, b) |dphi/du|] along a study's
+    Gaussian coordinate u, where phi(u) = e^u / 2 for u <= 0 and
+    1 - phi(u) = e^(-r u) / 2 for u > 0; the terms that depend only on the
+    shapes are computed here, once. Without ``mode`` the -ln B(a, b) term
+    is left to the caller. With ``mode`` (a, b > 1) the Beta part is
+    anchored at its mode, in a form whose linear terms cancel exactly, and
+    its value at the mode is dropped: at extreme shapes (a - 1) ln phi and
+    (b - 1) ln(1 - phi) would otherwise cancel catastrophically."""
+    neg_r, log_r = -r, np.log(r)
+
+    def log_t_and_jac(u):
+        right = u > 0.0
+        log_t = np.where(right, neg_r, -1.0) * np.abs(u) - _LN2
+        # t = phi on the left, 1 - phi on the right
+        return right, log_t, np.where(right, log_r + log_t, log_t)
+
     if mode is None:
-        l1t = np.log1p(-t)
-        return ((a - 1.0) * np.where(right, l1t, log_t)
-                + (b - 1.0) * np.where(right, log_t, l1t) + log_jac)
-    delta = np.where(right, (1.0 - mode) - t, t - mode)
-    return ((a + b - 2.0) * (mode * np.log1p(delta / mode)
-                             + (1.0 - mode) * np.log1p(-delta / (1.0 - mode)))
-            + log_jac)
+        a1, b1 = a - 1.0, b - 1.0
+
+        def weight(u):
+            right, log_t, log_jac = log_t_and_jac(u)
+            l1t = np.log1p(-np.exp(log_t))
+            return a1 * np.where(right, l1t, log_t) + b1 * np.where(right, log_t, l1t) + log_jac
+        return weight
+
+    ab2, mode_c, mode_1 = a + b - 2.0, 1.0 - mode, mode - 1.0
+
+    def anchored(u):
+        right, log_t, log_jac = log_t_and_jac(u)
+        t = np.exp(log_t)
+        delta = np.where(right, mode_c - t, t - mode)
+        # delta / (mode - 1) is -delta / (1 - mode) to the bit
+        return ab2 * (mode * np.log1p(delta / mode) + mode_c * np.log1p(delta / mode_1)) + log_jac
+    return anchored
 
 
 def _u_of_phi(phi, r):
@@ -395,7 +419,7 @@ class _SplitMarginal:
     which is bounded and has one kink, at u = 0: no endpoint transform is
     needed. ``log_terms`` integrates all studies at once, each with one
     fixed composite (G7,K15) rule on its own panels. Per-study values are
-    (k, 1) columns."""
+    (k, 1) columns; per-side ones (k, 2)."""
 
     def __init__(self, theta_hats, approxes):
         th = np.asarray(theta_hats, dtype=float)[:, None]
@@ -408,10 +432,16 @@ class _SplitMarginal:
         self.precision = 1.0 / (s * s)
         self.r = np.where(self.mirrored, s1 / s2, s2 / s1)
         self.log_norm = -np.log(s) - _LN_SQRT_TWO_PI - self.x
+        self.neg_half_precision = -0.5 * self.precision
+        # per side: phi's rate rho in t = e^(-rho |u|) / 2
+        rho = np.concatenate([np.ones_like(self.r), self.r], axis=1)
+        self.neg_rho = -rho
+        self.side_rho = _SIDES * rho
+        self.neg_rho2 = self.neg_rho * rho
 
     def log_normal(self, u):
         """ln of each study's split-lognormal density at theta(u)."""
-        return -0.5 * self.precision * (self.x - u) ** 2 + self.log_norm
+        return self.neg_half_precision * (self.x - u) ** 2 + self.log_norm
 
     def log_terms(self, alpha: float, beta: float):
         """ln of each study's marginal likelihood under a Beta(alpha, beta)
@@ -420,10 +450,10 @@ class _SplitMarginal:
         A narrow Beta (mode +- 40.5 sd inside (0, 1)) is integrated in the
         mode-anchored form, and each study's integral is divided by the bare
         Beta mass integrated on the same nodes, which cancels the rounding
-        of phi(u) and the truncated tails; a wide one carries
-        -ln B(alpha, beta) directly."""
+        of phi(u) and the truncated tails: the mass rows are stacked under
+        the likelihood rows, on the same panels and from the same weight
+        values. A wide one carries -ln B(alpha, beta) directly."""
         k = len(self.x)
-        x, precision, r = self.x, self.precision, self.r
         a = np.where(self.mirrored, beta, alpha)   # shapes of phi
         b = np.where(self.mirrored, alpha, beta)
         ab = alpha + beta
@@ -437,11 +467,12 @@ class _SplitMarginal:
             mode, offset = (a - 1.0) / (a + b - 2.0), 0.0   # the mode of phi
         else:
             mode, offset = None, -log_beta(alpha, beta)
+        weight = _log_weight(a, b, self.r, mode)
 
         def log_f(u):
-            return self.log_normal(u) + _log_weight(u, a, b, r, mode) + offset
+            return self.log_normal(u) + weight(u) + offset
 
-        edges = _panel_edges(log_f, x, precision, a, b, r, sd)
+        edges = _panel_edges(self, log_f, a, b, sd)
         if not narrow:
             log_values, _, converged, _ = integrate_vector(log_f, _compact(edges),
                                                            _SPLIT_QUAD_TOL)
@@ -449,33 +480,36 @@ class _SplitMarginal:
 
         def log_f_and_mass(u):
             # rows k..2k-1: the bare Beta weight on the same nodes
-            return np.concatenate([log_f(u[:k]), _log_weight(u[k:], a, b, r, mode)])
+            w = weight(u)
+            return np.concatenate([self.log_normal(u) + w + offset, w])
 
-        beta_edges = _u_of_phi(mode + sd * np.append(_OFFSETS, 0.0), r)
+        beta_edges = _u_of_phi(mode + sd * _BETA_OFFSETS, self.r)
         edges = _compact(np.concatenate([edges, beta_edges], axis=1))
-        log_values, _, converged, _ = integrate_vector(
-            log_f_and_mass, np.concatenate([edges, edges]), _SPLIT_QUAD_TOL)
+        log_values, _, converged, _ = integrate_vector(log_f_and_mass, edges,
+                                                       _SPLIT_QUAD_TOL)
         return log_values[:k] - log_values[k:], converged
 
 
-def _panel_edges(log_f, x, precision, a, b, r, sd):
-    """Panel edges for each row of ``log_f`` (arguments are (rows, 1)
+def _panel_edges(marginal, log_f, a, b, sd):
+    """Panel edges for each row of ``log_f`` (the shapes are (rows, 1)
     columns): geometric about the peak of the log integrand on each side of
     u = 0 in units of its local scale there (a peak at the kink takes its
     scale from the slope), the two peaks, u = 0, and window ends where the
     log integrand has dropped ``_TAIL_DROP`` below its peak."""
-    # per side: phi's rate rho in t = e^(-rho |u|) / 2 and the powers of
-    # t and 1 - t in the weight
-    rho = np.concatenate([np.ones_like(r), r], axis=1)
+    x, precision, r = marginal.x, marginal.precision, marginal.r
+    # per side: the powers of t and 1 - t in the weight
     own = np.concatenate([a, b], axis=1)
     other = np.concatenate([b, a], axis=1) - 1.0
+    neg_rho, side_rho = marginal.neg_rho, marginal.side_rho
+    neg_rho2_other = marginal.neg_rho2 * other
 
     def slopes(u):
-        t = 0.5 * np.exp(-rho * np.abs(u))
-        q = t / (1.0 - t)
-        slope = precision * (x - u) - _SIDES * rho * (own - other * q)
+        t = 0.5 * np.exp(neg_rho * np.abs(u))
+        t_c = 1.0 - t
+        q = t / t_c
+        slope = precision * (x - u) - side_rho * (own - other * q)
         # curvature, made at most that of the normal factor
-        curv = np.minimum(-rho * rho * other * q / (1.0 - t), 0.0) - precision
+        curv = np.minimum(neg_rho2_other * q / t_c, 0.0) - precision
         return slope, curv
 
     # Each side's peak: at u = 0 when the slope there points at the kink,
@@ -498,39 +532,63 @@ def _panel_edges(log_f, x, precision, a, b, r, sd):
     beta_precision = (jac / sd) ** 2
     start = ((precision * x + beta_precision * _u_of_phi(mean, r))
              / (precision + beta_precision))
-    u = np.clip(start, lo, hi)
+    u = np.minimum(np.maximum(start, lo), hi)
     for _ in range(_STEPS):
         slope, curv = slopes(u)
         up = slope >= 0.0
         lo, slope_lo = np.where(up, u, lo), np.where(up, slope, slope_lo)
         hi, slope_hi = np.where(up, hi, u), np.where(up, slope_hi, slope)
         nxt = u - slope / curv
-        with np.errstate(invalid="ignore", divide="ignore"):
-            secant = lo + slope_lo * (hi - lo) / (slope_lo - slope_hi)
-        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt,
-                       np.where((lo <= secant) & (secant <= hi), secant, 0.5 * (lo + hi)))
-        done = np.all(np.abs(nxt - u) * np.sqrt(-curv) <= 1e-2)
+        inside = (lo <= nxt) & (nxt <= hi)
+        if not inside.all():
+            with np.errstate(invalid="ignore", divide="ignore"):   # a closed bracket
+                secant = lo + slope_lo * (hi - lo) / (slope_lo - slope_hi)
+            nxt = np.where(inside, nxt,
+                           np.where((lo <= secant) & (secant <= hi), secant, 0.5 * (lo + hi)))
+        done = (np.abs(nxt - u) * np.sqrt(-curv) <= 1e-2).all()
         u = nxt
         if done:
             break
     slope, curv = slopes(u)
     scale = 1.0 / (np.abs(slope) + np.sqrt(-curv))
 
-    peak = log_f(u)
-    floor = peak.max(axis=1, keepdims=True) - _TAIL_DROP
-    ends = u + 10.0 * scale * _SIDES
-    for _ in range(_STEPS):
-        short = log_f(ends) > floor
-        if not short.any():
-            break
-        ends = np.where(short, u + 2.0 * (ends - u), ends)
-    # a side whose peak is below the floor is left out: the window ends at 0
-    ends = np.where(peak < floor, 0.0, ends)
+    ends = _window_ends(log_f, u, scale)
     lo, hi = ends[:, :1], ends[:, 1:]
     about_peaks = u[:, :, None] + scale[:, :, None] * _OFFSETS
-    return np.concatenate([np.clip(about_peaks[:, 0], lo, 0.0),
-                           np.clip(about_peaks[:, 1], 0.0, hi),
-                           np.clip(u, lo, hi), ends, zero], axis=1)
+    return np.concatenate([np.minimum(np.maximum(about_peaks[:, 0], lo), 0.0),
+                           np.minimum(np.maximum(about_peaks[:, 1], 0.0), hi),
+                           np.minimum(np.maximum(u, lo), hi), ends, zero], axis=1)
+
+
+def _window_ends(log_f, u, scale):
+    """Each side's window end: the first of u + 10 scale, then doubled
+    distances from the peak u, at which ``log_f`` is no longer above the
+    floor ``_TAIL_DROP`` below the row's higher peak, after at most
+    ``_STEPS`` doublings. The peaks and the first ``_RUNGS`` candidates are
+    evaluated in one call of ``log_f``; only a row that needs more
+    doublings goes on one call a doubling. A side whose peak is below the
+    floor is left out: its window ends at 0."""
+    rungs = [u + 10.0 * scale * _SIDES]
+    for _ in range(_RUNGS):
+        rungs.append(u + 2.0 * (rungs[-1] - u))
+    values = log_f(np.concatenate([u, *rungs[:-1]], axis=1))
+    peak = values[:, :2]
+    floor = peak.max(axis=1, keepdims=True) - _TAIL_DROP
+    short = values[:, 2:] > floor
+    # each side's first rung that is not short, where every earlier one is:
+    # log_f need not be monotone beyond it; the rung after the last when all are
+    ends = rungs[-1]
+    for j in reversed(range(_RUNGS)):
+        ends = np.where(short[:, 2 * j:2 * j + 2], ends, rungs[j])
+    if short[:, -2:].any():
+        # a side may need more doublings: go on one call a doubling (a side
+        # that has its end is not short there and keeps it)
+        for _ in range(_STEPS - _RUNGS):
+            short = log_f(ends) > floor
+            if not short.any():
+                break
+            ends = np.where(short, u + 2.0 * (ends - u), ends)
+    return np.where(peak < floor, 0.0, ends)
 
 
 def _compact(edges):
@@ -585,8 +643,7 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
         """The negative log likelihood and whether the rule met its
         tolerance. An infeasible Beta variance gives the penalty."""
         if tau <= _TAU_BOUNDARY:
-            return -math.fsum([split_loglik(th, theta, ap)
-                               for th, ap in zip(theta_hats, approxes)]), True
+            return -math.fsum(split_loglik(theta_hats, theta, approxes)), True
         psi_bar = 0.5 * (1.0 + theta)
         cap = psi_bar * (1.0 - psi_bar)
         v = 0.25 * tau * tau

@@ -405,6 +405,22 @@ class TestMainAnalyze:
                                 "undefined\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("model", ["direct-dl", "direct-ml"])
+    @pytest.mark.parametrize("variance", ["exact", "approx"])
+    def test_swamping_weight_is_one_error_line(self, tmp_path, capsys, model, variance):
+        # uncorrected, 0/156 vs 149/154 has sigma^2 ~ 2e-45, and Cochran's C
+        # of the three studies rounds to 0
+        path = _write_dataset(tmp_path, ["swamp,0,156,149,154", "bravo,12,120,30,115",
+                                         "charlie,8,96,20,101"])
+        code = main(["analyze", "--input", path, "--model", model, "--variance", variance,
+                     "--zero-correction", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "Cochran's C" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_missing_file_exit_code(self, capsys):
         code = main(["analyze", "--input", "/does/not/exist.csv"])
         captured = capsys.readouterr()

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grrr.core import StudyTable, phi_to_theta, q_from_p_theta, theta_from_probs
 from grrr.distribution import (
@@ -110,6 +112,51 @@ class TestPdf:
             pdf(0.2, 1.0, approx)
         with pytest.raises(DomainError):
             SplitLognormalApprox(0.0, 0.3)
+
+
+def _reference_loglik(theta_hat, theta, s1, s2):
+    """The one-study log density written out as the scalar formula it was
+    before the array form existed: the reference for the array form."""
+    if theta < 0.0:
+        mu1 = math.log1p(theta)
+        mu2 = -(s2 / s1) * mu1
+    else:
+        mu2 = math.log1p(-theta)
+        mu1 = -(s1 / s2) * mu2
+    if theta_hat < 0.0:
+        x = math.log1p(theta_hat)
+        z = (x - mu1) / s1
+        return -0.5 * z * z - math.log(s1) - math.log(math.sqrt(2.0 * math.pi)) - x
+    x = math.log1p(-theta_hat)
+    z = (x - mu2) / s2
+    return -0.5 * z * z - math.log(s2) - math.log(math.sqrt(2.0 * math.pi)) - x
+
+
+_OPEN_UNIT = st.one_of(st.just(0.0), st.floats(-0.999999, 0.999999))
+_SCALE = st.floats(1e-3, 5.0)
+
+
+class TestLoglikArrayForm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(studies=st.lists(st.tuples(_OPEN_UNIT, _SCALE, _SCALE), min_size=1, max_size=30),
+           theta=_OPEN_UNIT)
+    def test_equals_the_scalar_formula_bit_for_bit(self, studies, theta):
+        theta_hats = [th for th, _, _ in studies]
+        approxes = [SplitLognormalApprox(s1, s2) for _, s1, s2 in studies]
+        want = [_reference_loglik(th, theta, s1, s2) for th, s1, s2 in studies]
+        got = loglik(theta_hats, theta, approxes)
+        assert got == want
+        assert math.fsum(got) == math.fsum(want)
+        assert [loglik(th, theta, ap) for th, ap in zip(theta_hats, approxes)] == want
+
+    @pytest.mark.parametrize("theta", [-1.0, 1.0, 1.5, float("nan")])
+    def test_theta_outside_the_open_interval_is_refused(self, theta):
+        with pytest.raises(DomainError, match="theta must be in"):
+            loglik([-0.2, 0.3], theta, [_APPROX, _APPROX])
+
+    def test_each_estimate_is_checked(self):
+        with pytest.raises(DomainError, match="theta_hat must be in"):
+            loglik([-0.2, 1.0], 0.1, [_APPROX, _APPROX])
 
 
 class TestCdf:

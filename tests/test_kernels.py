@@ -280,6 +280,28 @@ class TestIntegrateVector:
         assert errs.shape == (3,)
         assert evals == 3 * 2 * 15
 
+    def test_stacked_integrands_equal_repeated_edges(self):
+        # j integrands on each row's panels: bit for bit the call that
+        # repeats the edges j times, with the same evaluation count
+        log_f, edges = self._rows()
+
+        def stacked(x):
+            return np.concatenate([log_f(x), 0.5 * log_f(x) - 3.0])
+
+        def repeated(x):
+            return np.concatenate([log_f(x[:3]), 0.5 * log_f(x[3:]) - 3.0])
+
+        got = integrate_vector(stacked, edges)
+        want = integrate_vector(repeated, edges + edges)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2:] == want[2:] and got[3] == 2 * 3 * 2 * 15
+
+    def test_stacked_rows_must_be_a_multiple_of_the_edge_rows(self):
+        log_f, edges = self._rows()
+        for rows in (2, 4, 5):   # three edge rows
+            with pytest.raises(DomainError):
+                integrate_vector(lambda x, n=rows: np.concatenate([log_f(x)] * 2)[:n], edges)
+
     def test_row_results_do_not_depend_on_position(self):
         log_f, edges = self._rows()
         base = integrate_vector(log_f, edges)

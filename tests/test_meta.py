@@ -160,6 +160,16 @@ class TestDirectDL:
         with pytest.raises(DomainError):
             fit_direct_dl(_THREE[:1])
 
+    @pytest.mark.parametrize("fit", [fit_direct_dl, fit_direct_ml])
+    def test_swamping_weight_raises_domain_error(self, fit):
+        # uncorrected 0/156 vs 149/154 next to two ordinary tables: its
+        # sigma^2 ~ 2e-45 makes C = sum w - sum w^2 / sum w round to 0
+        swamped = [_est(-1.0, 1.988498127511514e-45, "a"),
+                   _est(-0.6166666666666667, 0.016214789652820853, "b"),
+                   _est(-0.5791666666666666, 0.03114647004170179, "c")]
+        with pytest.raises(DomainError, match="Cochran's C = 0.0"):
+            fit(swamped)
+
 
 class TestDirectML:
     def test_against_grid_search(self):
@@ -340,7 +350,7 @@ class TestSplitIntegrand:
                         else (shapes.alpha, shapes.beta))
                 r = float(marginal.r[i, 0])
                 got = np.exp(marginal.log_normal(us[None, :])[i]
-                             + _log_weight(us, a, b, r) - ln_b)
+                             + _log_weight(a, b, r)(us) - ln_b)
                 for u, value in zip(us, got):
                     th, psi, jac = _theta_psi_jacobian(float(u), mirrored, r)
                     want = (pdf(theta_hats[i], th, approxes[i])
@@ -364,7 +374,7 @@ class TestSplitIntegrand:
             psis = mode + sd * np.linspace(-8.0, 8.0, 33)
             phis = 1.0 - psis if mirrored else psis
             us = np.where(phis <= 0.5, np.log(2 * phis), -np.log(2 * (1 - phis)) / r)
-            got = _log_weight(us, shapes.alpha, shapes.beta, r, mode)
+            got = _log_weight(shapes.alpha, shapes.beta, r, mode)(us)
             want = []
             for u in us:
                 _, psi, jac = _theta_psi_jacobian(float(u), mirrored, r)
@@ -420,6 +430,86 @@ def _mp_study_loglik(theta_hat, s1, s2, theta, tau):
             method = "tanh-sinh" if i in (0, len(pts) - 2) else "gauss-legendre"
             total += mpmath.quad(f, [lo, hi], method=method)
         return float(mpmath.log(total))
+
+
+def _doubling_ends(log_f, u, scale):
+    """The window ends as the split-lognormal panels took them before the
+    ladder, one call of ``log_f`` a doubling: the reference for
+    ``grrr.meta._window_ends``."""
+    _SIDES, _TAIL_DROP, _STEPS = np.array([-1.0, 1.0]), 40.0, 60
+    peak = log_f(u)
+    floor = peak.max(axis=1, keepdims=True) - _TAIL_DROP
+    ends = u + 10.0 * scale * _SIDES
+    for _ in range(_STEPS):
+        short = log_f(ends) > floor
+        if not short.any():
+            break
+        ends = np.where(short, u + 2.0 * (ends - u), ends)
+    # a side whose peak is below the floor is left out: the window ends at 0
+    return np.where(peak < floor, 0.0, ends)
+
+
+class TestWindowEnds:
+    @staticmethod
+    def _edges_and_terms(monkeypatch, marginal, shapes, window_ends):
+        edges = []
+        panel_edges = grrr.meta._panel_edges
+
+        def recorded(*args):
+            edges.append(panel_edges(*args))
+            return edges[-1]
+
+        monkeypatch.setattr(grrr.meta, "_panel_edges", recorded)
+        monkeypatch.setattr(grrr.meta, "_window_ends", window_ends)
+        terms = marginal.log_terms(shapes.alpha, shapes.beta)
+        return edges[0], terms
+
+    @pytest.mark.parametrize("dataset", ["six", "bcg", "streptokinase"])
+    def test_ladder_gives_the_doubling_loops_edges(self, monkeypatch, dataset):
+        # wide, narrow and U-shaped Beta laws, from tau = 1e-5 to 0.9
+        if dataset == "six":
+            tables = _SIX_TABLES
+        else:
+            tables = parse_dataset(str(resources.files("grrr.data").joinpath(dataset + ".csv")))
+        marginal = _SplitMarginal(*_split_inputs(tables))
+        ladder = grrr.meta._window_ends
+        rng = np.random.default_rng(19)
+        grid = [(theta, tau) for theta in (-0.46, 0.0, 0.3)
+                for tau in (1e-5, 1e-3, 0.01, 0.05, 0.24, 0.9)]
+        grid += zip(rng.uniform(-0.9, 0.9, 30), np.exp(rng.uniform(math.log(1e-5),
+                                                                   math.log(0.9), 30)))
+        kinds = set()
+        for theta, tau in grid:
+            if tau * tau >= 1.0 - theta * theta:
+                continue   # infeasible Beta variance
+            shapes = beta_reparam(0.5 * (1.0 + theta), 0.25 * tau * tau)
+            psi = 0.5 * (1.0 + theta)
+            kinds.add("U" if shapes.alpha < 1.0 and shapes.beta < 1.0 else
+                      "narrow" if 40.5 * 0.5 * tau < min(psi, 1.0 - psi) else "wide")
+            got = self._edges_and_terms(monkeypatch, marginal, shapes, ladder)
+            want = self._edges_and_terms(monkeypatch, marginal, shapes, _doubling_ends)
+            assert np.array_equal(got[0], want[0]), (theta, tau)
+            assert np.array_equal(got[1][0], want[1][0]) and got[1][1] == want[1][1]
+        assert kinds == {"U", "narrow", "wide"}
+
+    def test_more_doublings_than_rungs_and_a_tail_that_rises(self):
+        u = np.array([[-1.0, 2.0], [-3.0, 0.5], [-0.5, 0.1]])
+        scale = np.array([[1.0, 1.0], [5.0, 5.0], [0.2, 0.3]])
+        rate = np.array([[0.01], [1.0], [1.0]])
+        bump = np.array([[0.0], [100.0], [0.0]])
+        lift = np.array([[0.0], [0.0], [80.0]])
+
+        def log_f(v):
+            # row 0: 40 below its peaks only ~4,000 away; row 1: short again
+            # past the first end that is not short; row 2: its left peak is
+            # below the floor, its right end needs five doublings
+            return (-rate * np.abs(v) + bump * ((80.0 < np.abs(v)) & (np.abs(v) < 150.0))
+                    + lift * (v > 0.0))
+
+        got = grrr.meta._window_ends(log_f, u, scale)
+        assert np.array_equal(got, _doubling_ends(log_f, u, scale))
+        assert got[0, 0] < -4000.0 and got[1, 0] == -53.0 and got[2, 0] == 0.0
+        assert got[2, 1] == 0.1 + 3.0 * 2 ** 4
 
 
 class TestSplitLikelihoodOracle:
@@ -598,14 +688,15 @@ class TestSplitLognormalModel:
         fit = fit_split_lognormal_model(_bcg())
         assert fit.tau_hat > 0.0 and fit.converged
         assert sum(quad) == 9 and sum(loglik) == 0
-        # a boundary optimum: three point-mass stencil points, one term a study
+        # a boundary optimum: three point-mass stencil points, one call each
+        # for all four studies
         quad.clear()
         rows = [(20, 100, 30, 100), (21, 100, 30, 100), (20, 100, 31, 100),
                 (19, 100, 29, 100)]
         state["after"] = False
         fit = fit_split_lognormal_model(_tables(rows))
         assert fit.tau_hat == 0.0
-        assert sum(quad) == 0 and sum(loglik) == 12
+        assert sum(quad) == 0 and sum(loglik) == 3
 
     def test_converged_reads_the_stencils_own_evaluations(self, monkeypatch):
         # only the evaluations after the search miss the rule's tolerance
