@@ -62,12 +62,9 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise DomainError(f"unknown model {self.model!r}")
-        if self.variance not in _VARIANCES:
-            raise DomainError(f"unknown variance engine {self.variance!r}")
+        VarianceSpec(self.variance, self.bootstrap_reps, self.seed)   # checks the three
         if not (self.zero_correction >= 0.0 and math.isfinite(self.zero_correction)):
             raise DomainError("zero_correction must be a finite value >= 0")
-        if self.bootstrap_reps < 1000:
-            raise DomainError("bootstrap_reps must be >= 1000")
         if not (0.0 < self.alpha < 1.0):
             raise DomainError("alpha must be in (0, 1)")
 
@@ -104,16 +101,22 @@ def parse_dataset(source, swap_arms: bool = False) -> list[StudyTable]:
 
     The header must be exactly ``study_id,events_treatment,n_treatment,
     events_control,n_control``. With ``swap_arms`` the two count pairs are
-    interpreted in the opposite order (control first). Errors carry the
-    1-based line number of the offending row.
+    interpreted in the opposite order (control first). A path is read as
+    UTF-8, with or without a byte-order mark. Counts are ASCII decimal
+    digits. Errors carry the 1-based line number of the offending row.
     """
     if isinstance(source, (str, os.PathLike)):
         try:
-            fh = open(source, "r", encoding="utf-8-sig", newline="")
+            with open(source, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise DatasetError(f"cannot read {source}: {exc.strerror}") from exc
-        with fh:
-            return parse_dataset(fh, swap_arms)
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise DatasetError(f"line {lineno}: not UTF-8 text") from None
+        return parse_dataset(io.StringIO(text, newline=""), swap_arms)
 
     reader = csv.reader(source)
     try:
@@ -141,13 +144,11 @@ def parse_dataset(source, swap_arms: bool = False) -> list[StudyTable]:
         counts = []
         for name, cell in zip(_HEADER[1:], row[1:]):
             text = cell.strip()
-            try:
-                value = int(text)
-            except ValueError:
+            # int() would also take "1_0", "+5" and non-ASCII digits
+            if not (text.isascii() and text.isdigit()):
                 raise DatasetError(
-                    f"line {lineno}: {name} must be an integer, got {text!r}"
-                    ) from None
-            counts.append(value)
+                    f"line {lineno}: {name} must be a non-negative integer, got {text!r}")
+            counts.append(int(text))
         et, nt, ec, nc = counts
         if swap_arms:
             et, nt, ec, nc = ec, nc, et, nt
@@ -172,7 +173,7 @@ def _study_records(config: AnalysisConfig, tables: Sequence[StudyTable]):
     ]
     records = []
     for table, est in zip(tables, estimates):
-        used = not (est.degenerate and not est.corrected)
+        used = est.informative
         reason = None if used else ("double-degenerate table "
                                     "(no events or all events in both arms)")
         try:

@@ -78,9 +78,6 @@ class MetaFit:
     ``i_squared`` is only defined for the direct (normal-model) fits;
     ``loglik`` only for likelihood fits; ``se_tau`` is None for DL (no
     analogue is defined) and 0.0 at a likelihood boundary tau-hat = 0.
-    ``restart_thetas`` is ``(theta_hat,)``, the theta of the fit's one
-    search, on every likelihood fit (empty for DL); the benchmark reads it
-    until the library reports its own diagnostics.
     """
 
     method: str
@@ -92,7 +89,6 @@ class MetaFit:
     loglik: Optional[float]
     n_studies_used: int
     converged: bool
-    restart_thetas: tuple = ()
 
     def __post_init__(self):
         if not (-1.0 <= self.theta_hat <= 1.0):
@@ -103,6 +99,12 @@ class MetaFit:
             raise DomainError("tau_hat must be finite and >= 0")
         if self.i_squared is not None and not (0.0 <= self.i_squared <= 100.0):
             raise DomainError("i_squared outside [0, 100]")
+
+    @property
+    def restart_thetas(self) -> tuple:
+        """``(theta_hat,)``, the theta of a likelihood fit's one search;
+        empty for DL. The benchmark reads it."""
+        return () if self.loglik is None else (self.theta_hat,)
 
 
 def beta_reparam(mean: float, variance: float) -> BetaMoments:
@@ -127,10 +129,13 @@ def beta_reparam(mean: float, variance: float) -> BetaMoments:
 # ---------------------------------------------------------------------------
 
 def _usable(estimates: Sequence[GrrrEstimate], method: str,
-            require_interior: bool) -> list[GrrrEstimate]:
+            require_interior: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The theta-hat and sigma^2 arrays of the ``informative`` estimates,
+    which every fit reads. ``require_interior`` refuses, not drops, an
+    uninformative estimate, and refuses theta-hat = +-1 too."""
     kept = []
     for est in estimates:
-        if est.degenerate and not est.corrected:
+        if not est.informative:
             if require_interior:
                 raise DomainError(
                     f"{method}: study {est.study_id!r} is double-degenerate; "
@@ -147,12 +152,12 @@ def _usable(estimates: Sequence[GrrrEstimate], method: str,
         kept.append(est)
     if len(kept) < 2:
         raise DomainError(f"{method}: needs at least 2 usable studies, got {len(kept)}")
-    return kept
+    return np.array([e.theta_hat for e in kept]), np.array([e.sigma2 for e in kept])
 
 
 def _q_statistics(thetas: np.ndarray, sig2: np.ndarray):
     """Cochran's Q machinery shared by DL and the likelihood fits' starting
-    values: (fixed-effect mean, Q, df, C, DL tau^2, I^2). Sums are exact
+    values: (fixed-effect mean, DL tau^2, I^2). Sums are exact
     (``math.fsum``), so they do not depend on the order of the studies.
     ``DomainError`` when C = sum w - sum w^2 / sum w is not > 0, which
     happens when one weight swamps the rest in rounding."""
@@ -168,7 +173,7 @@ def _q_statistics(thetas: np.ndarray, sig2: np.ndarray):
             f"within-study variance is rounding noise; use a zero-correction")
     tau2 = max(0.0, (q - df) / c)
     i2 = 0.0 if q <= 0.0 else max(0.0, 100.0 * (q - df) / q)
-    return theta_fe, q, df, c, tau2, min(i2, 100.0)
+    return theta_fe, tau2, min(i2, 100.0)
 
 
 def _clip_theta(x: float) -> float:
@@ -231,7 +236,6 @@ def _likelihood_fit(method: str, negll, theta_hat: float, tau_hat: float,
         loglik=-value,
         n_studies_used=n_used,
         converged=converged and accurate,
-        restart_thetas=(theta_hat,),
     )
 
 
@@ -256,10 +260,8 @@ def _fit_two_param(method: str, negll, theta0: float, tau0: float,
 
 def fit_direct_dl(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     """DerSimonian-Laird moment fit of the normal random-effects model."""
-    kept = _usable(estimates, "fit_direct_dl", require_interior=False)
-    thetas = np.array([e.theta_hat for e in kept])
-    sig2 = np.array([e.sigma2 for e in kept])
-    _, q, df, c, tau2, i2 = _q_statistics(thetas, sig2)
+    thetas, sig2 = _usable(estimates, "fit_direct_dl", require_interior=False)
+    _, tau2, i2 = _q_statistics(thetas, sig2)
     w = 1.0 / (sig2 + tau2)
     sw = math.fsum(w)
     return MetaFit(
@@ -270,7 +272,7 @@ def fit_direct_dl(estimates: Sequence[GrrrEstimate]) -> MetaFit:
         se_tau=None,
         i_squared=i2,
         loglik=None,
-        n_studies_used=len(kept),
+        n_studies_used=len(thetas),
         converged=True,
     )
 
@@ -282,17 +284,15 @@ def fit_direct_ml(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     negative at tau = 2, is scanned on [0, 2] and each + to - change
     bisected to adjacent floats; tau = 0 is a candidate when its score is
     <= 0. The candidate of least negll wins."""
-    kept = _usable(estimates, "fit_direct_ml", require_interior=False)
-    thetas = np.array([e.theta_hat for e in kept])
-    sig2 = np.array([e.sigma2 for e in kept])
-    i2 = _q_statistics(thetas, sig2)[5]
+    thetas, sig2 = _usable(estimates, "fit_direct_ml", require_interior=False)
+    i2 = _q_statistics(thetas, sig2)[2]
 
     log_two_pi = math.log(2.0 * math.pi)
 
     def negll(theta: float, tau: float) -> float:
         s = sig2 + tau * tau
         return 0.5 * (math.fsum((np.log(s) + (thetas - theta) ** 2 / s).tolist())
-                      + len(kept) * log_two_pi)
+                      + len(thetas) * log_two_pi)
 
     def profile(tau: float):
         """theta(tau) and the score s(tau)."""
@@ -313,7 +313,7 @@ def fit_direct_ml(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     tau_hat = min(candidates, key=lambda tau: negll(profile(tau)[0], tau))
     theta_hat = profile(tau_hat)[0]
     return _likelihood_fit("direct-ml", lambda theta, tau: (negll(theta, tau), True),
-                           theta_hat, tau_hat, negll(theta_hat, tau_hat), len(kept), True,
+                           theta_hat, tau_hat, negll(theta_hat, tau_hat), len(thetas), True,
                            i_squared=i2)
 
 
@@ -325,14 +325,12 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     """Beta likelihood: psi-hat_i ~ Beta with mean (1+theta)/2 and variance
     (sigma_i^2 + tau^2)/4. Needs every theta-hat_i interior (zero cells must
     have been corrected upstream)."""
-    kept = _usable(estimates, "fit_beta_model", require_interior=True)
-    thetas = np.array([e.theta_hat for e in kept])
-    sig2 = np.array([e.sigma2 for e in kept])
+    thetas, sig2 = _usable(estimates, "fit_beta_model", require_interior=True)
     psi_hat = 0.5 * (1.0 + thetas)
     log_psi = np.log(psi_hat)
     log_psic = np.log1p(-psi_hat)
     var_quarter = 0.25 * sig2
-    theta0, _, _, _, tau2_dl, _ = _q_statistics(thetas, sig2)
+    theta0, tau2_dl, _ = _q_statistics(thetas, sig2)
 
     def negll(theta: float, tau: float) -> float:
         psi_bar = 0.5 * (1.0 + theta)
@@ -347,7 +345,7 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
         return -math.fsum(((a - 1.0) * log_psi + (b - 1.0) * log_psic
                            - log_beta(a, b)).tolist()), True
 
-    return _fit_two_param("beta", negll, theta0, math.sqrt(tau2_dl), len(kept))
+    return _fit_two_param("beta", negll, theta0, math.sqrt(tau2_dl), len(thetas))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +519,7 @@ def _panel_edges(marginal, log_f, a, b, sd):
                          zero], axis=1)
     hi = np.concatenate([zero, np.maximum(x + r * np.maximum(-b, a - 1.0 - b) / precision,
                                           0.0)], axis=1)
-    slope_lo, _ = slopes(lo)
-    slope_hi, _ = slopes(hi)
+    slope_lo, slope_hi = slopes(np.stack([lo, hi]))[0]
     at_kink = np.where(_SIDES > 0.0, slope_lo, slope_hi) * _SIDES <= 0.0
     lo = np.where(at_kink, 0.0, lo)
     hi = np.where(at_kink, 0.0, hi)
@@ -635,7 +632,7 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
     estimates = [make_estimate(t, VarianceSpec("approx"), zero_correction=zero_correction)
                  for t in tables]
     theta_hats = [est.theta_hat for est in estimates]
-    theta0, _, _, _, tau2_dl, _ = _q_statistics(
+    theta0, tau2_dl, _ = _q_statistics(
         np.array(theta_hats), np.array([est.sigma2 for est in estimates]))
     marginal = _SplitMarginal(theta_hats, approxes)
 

@@ -95,9 +95,14 @@ class GrrrEstimate:
             raise DomainError(f"{self.study_id}: theta_hat outside [-1, 1]")
         if math.isnan(self.sigma2) or math.isinf(self.sigma2) or self.sigma2 < 0.0:
             raise DomainError(f"{self.study_id}: sigma2 must be finite and >= 0")
-        if self.degenerate and not self.corrected:
-            if self.theta_hat != 0.0 or self.sigma2 != 0.0:
-                raise DomainError(f"{self.study_id}: degenerate estimate must be (0, 0)")
+        if not self.informative and (self.theta_hat != 0.0 or self.sigma2 != 0.0):
+            raise DomainError(f"{self.study_id}: degenerate estimate must be (0, 0)")
+
+    @property
+    def informative(self) -> bool:
+        """False for an uncorrected double-degenerate table, which carries
+        no information about the effect."""
+        return not (self.degenerate and not self.corrected)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +208,9 @@ def _exact_mean_var(n1: int, p: float, n2: int, q: float):
 
 
 def variance_exact(table: StudyTable) -> float:
-    """Exact variance of theta-hat under the plug-in product-binomial model."""
-    _, var = _exact_mean_var(table.n_control, table.p_hat,
-                             table.n_treatment, table.q_hat)
-    return var
+    """Exact variance of theta-hat under the plug-in product-binomial model:
+    ``make_estimate``'s sigma^2 with the "exact" method."""
+    return make_estimate(table, VarianceSpec("exact")).sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +234,10 @@ def variance_bootstrap(table: StudyTable, replicates: int = 100_000, seed: int =
     """Parametric bootstrap variance of theta-hat.
 
     Deterministic for a fixed (table, replicates, seed): the control arm is
-    drawn first, then the treatment arm, from one PCG64 stream.
+    drawn first, then the treatment arm, from one PCG64 stream. This is
+    ``make_estimate``'s sigma^2 with the "bootstrap" method.
     """
-    spec = VarianceSpec("bootstrap", replicates=replicates, seed=seed)  # validates
-    return _bootstrap_probs(table.n_control, table.p_hat,
-                            table.n_treatment, table.q_hat,
-                            spec.replicates, spec.seed)
-
-
-def _bootstrap_probs(n1: int, p: float, n2: int, q: float,
-                     replicates: int, seed: int) -> float:
-    rng = make_rng(seed)
-    i = rng.binomial(n1, p, size=replicates)
-    j = rng.binomial(n2, q, size=replicates)
-    theta = _theta_of_draws(i, n1, j, n2)
-    return float(np.var(theta, ddof=1))
+    return make_estimate(table, VarianceSpec("bootstrap", replicates, seed)).sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +298,13 @@ def _analytic_probs(p: float, q: float, n1: float, n2: float) -> float:
 
 def variance_analytic(table: StudyTable) -> float:
     """Closed-form approximate variance of theta-hat (six normal-CDF
-    evaluations). Domain error when either proportion is 0 or 1; callers
-    fall back to the exact method there."""
+    evaluations): ``make_estimate``'s sigma^2 with the "approx" method.
+    Domain error when either proportion is 0 or 1, where ``make_estimate``
+    falls back to the exact method."""
     if table.has_boundary_margin:
         raise DomainError(
             f"{table.study_id}: analytic variance needs interior proportions")
-    return _analytic_probs(table.p_hat, table.q_hat,
-                           table.n_control, table.n_treatment)
+    return make_estimate(table, VarianceSpec("approx")).sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +337,10 @@ def make_estimate(table: StudyTable,
     theta_hat = theta_from_cells(a, b, c, d)
     n1, n2 = table.n_control, table.n_treatment
     if spec.kind == "bootstrap":
-        sigma2 = _bootstrap_probs(n1, p, n2, q, spec.replicates, spec.seed)
+        rng = make_rng(spec.seed)
+        i = rng.binomial(n1, p, size=spec.replicates)
+        j = rng.binomial(n2, q, size=spec.replicates)
+        sigma2 = float(np.var(_theta_of_draws(i, n1, j, n2), ddof=1))
     elif spec.kind == "approx" and 0.0 < p < 1.0 and 0.0 < q < 1.0:
         sigma2 = _analytic_probs(p, q, c + d, a + b)
     else:   # exact, or approx at the boundary

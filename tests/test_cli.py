@@ -1,5 +1,6 @@
 """Command-line layer: parsing, dispatch, rendering, serialization, exit codes."""
 
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import grrr.cli
 from grrr.cli import (
     AnalysisConfig,
     AnalysisReport,
@@ -86,6 +88,19 @@ class TestParseDataset:
         text = _dataset_text(["s1,2,10,5,10", "s2,2.5,10,5,10"])
         with pytest.raises(DatasetError, match="line 3.*events_treatment"):
             parse_dataset(io.StringIO(text))
+
+    @pytest.mark.parametrize("cell", ["1_0", "+5", "\u0663\u0660", "-5", "0x1f", " "])
+    def test_counts_are_ascii_decimal_digits(self, cell):
+        # int() takes the first three: "1_0", "+5" and Arabic-Indic "30"
+        text = _dataset_text(["s1,2,10,5,10", f"s2,2,10,{cell},50"])
+        with pytest.raises(DatasetError, match="line 3: events_control must be a "
+                                               "non-negative integer"):
+            parse_dataset(io.StringIO(text))
+
+    def test_padded_ascii_counts_parse(self):
+        table = parse_dataset(io.StringIO(_dataset_text(["s1, 012 ,120,30 ,115"])))[0]
+        assert (table.events_treatment, table.n_treatment,
+                table.events_control, table.n_control) == (12, 120, 30, 115)
 
     def test_wrong_field_count(self):
         with pytest.raises(DatasetError, match="line 2.*5 fields"):
@@ -180,14 +195,16 @@ class TestRunAnalysis:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             AnalysisConfig(model="anova")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="unknown variance method"):
             AnalysisConfig(variance="magic")
         with pytest.raises(DomainError):
             AnalysisConfig(alpha=1.5)
         with pytest.raises(DomainError):
             AnalysisConfig(zero_correction=-1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="bootstrap replicates"):
             AnalysisConfig(bootstrap_reps=10)
+        with pytest.raises(DomainError, match="seed must be a non-negative integer, got -1"):
+            AnalysisConfig(seed=-1)
 
 
 class TestPlainLanguage:
@@ -420,6 +437,38 @@ class TestMainAnalyze:
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_non_utf8_input_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(_dataset_text(_FOUR_ROWS + ["M\u00fcller,3,30,6,31"])
+                         .encode("latin-1"))
+        code = main(["analyze", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: line 6: not UTF-8 text\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_fails_before_the_input_is_read(self, tmp_path, capsys):
+        code = main(["analyze", "--input", str(tmp_path / "missing.csv"), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
+
+    def test_unconverged_fit_warns_and_exits_1(self, tmp_path, capsysbinary, monkeypatch):
+        def unconverged(estimates):
+            return dataclasses.replace(fit_direct_dl(estimates), converged=False)
+
+        monkeypatch.setattr(grrr.cli, "fit_direct_dl", unconverged)
+        code = main(["analyze", "--input", _write_dataset(tmp_path), "--model", "direct-dl"])
+        captured = capsysbinary.readouterr()
+        assert code == 1
+        assert captured.err == b"warning: fit did not converge\n"
+        report = json.loads(captured.out)
+        assert report["converged"] is False
+        assert report["model"] == "direct-dl"
+        assert report["n_studies_used"] == 4 and len(report["studies"]) == 4
 
     def test_missing_file_exit_code(self, capsys):
         code = main(["analyze", "--input", "/does/not/exist.csv"])

@@ -6,6 +6,7 @@ quadrature of the random-effects integrand in psi. None share code with the
 implementation.
 """
 
+import dataclasses
 import importlib.util
 import io
 import math
@@ -24,11 +25,12 @@ import grrr.meta
 from grrr.cli import parse_dataset
 from grrr.core import StudyTable
 from grrr.distribution import SplitLognormalApprox, pdf
-from grrr.errors import DomainError
+from grrr.errors import ConvergenceError, DomainError
 from grrr.kernels import log_beta
 from grrr.meta import (
     BetaMoments,
     MetaFit,
+    _hessian_se,
     _log_weight,
     _SplitMarginal,
     beta_reparam,
@@ -738,6 +740,9 @@ class TestOneSearch:
                 fit_beta_model(bcg), fit_split_lognormal_model(_bcg())]
         for fit in fits:
             assert fit.restart_thetas == (fit.theta_hat,), fit.method
+        assert fit_direct_dl(bcg).restart_thetas == ()
+        # derived from the fit, not stored with it
+        assert "restart_thetas" not in {f.name for f in dataclasses.fields(MetaFit)}
 
     def test_minimize_runs_once_and_never_for_direct_ml(self, monkeypatch):
         runs = []
@@ -756,13 +761,50 @@ class TestOneSearch:
         assert len(runs) == 2
 
 
+class TestHessianSE:
+    """``_hessian_se`` on quadratic negative log likelihoods, whose central
+    differences are exact to rounding: the observed information is
+    [[a, c], [c, b]]."""
+
+    @staticmethod
+    def _quadratic(a, b, c, theta0, tau0, calls):
+        def negll(theta, tau):
+            calls.append(tau)
+            dt, du = theta - theta0, tau - tau0
+            return 0.5 * (a * dt * dt + 2.0 * c * dt * du + b * du * du), True
+        return negll
+
+    def test_small_tau_halves_its_step(self):
+        a, b, c, tau0, calls = 40.0, 900.0, 30.0, 5e-5, []
+        se_theta, se_tau, accurate = _hessian_se(
+            self._quadratic(a, b, c, -0.3, tau0, calls), -0.3, tau0, boundary=False)
+        det = a * b - c * c
+        assert se_theta == pytest.approx(math.sqrt(b / det), rel=1e-6)
+        assert se_tau == pytest.approx(math.sqrt(a / det), rel=1e-6)
+        assert accurate
+        # the tau step is tau-hat / 2, not 1e-4: the stencil stays at tau >= 0
+        assert min(calls) == pytest.approx(0.5 * tau0, rel=1e-12)
+        assert max(calls) == pytest.approx(1.5 * tau0, rel=1e-12)
+
+    def test_boundary_needs_positive_theta_curvature(self):
+        def negll(theta, tau):
+            return -(theta + 0.3) ** 2, True
+        with pytest.raises(ConvergenceError, match="theta curvature"):
+            _hessian_se(negll, -0.3, 0.0, boundary=True)
+
+    def test_indefinite_information_raises(self):
+        negll = self._quadratic(1.0, 1.0, 2.0, -0.3, 0.2, [])
+        with pytest.raises(ConvergenceError, match="not positive definite"):
+            _hessian_se(negll, -0.3, 0.2, boundary=False)
+
+
 class TestRowOrder:
     @pytest.mark.parametrize("dataset", ["bcg", "streptokinase"])
     @pytest.mark.parametrize("model", ["direct-dl", "direct-ml", "beta", "split-lognormal"])
     def test_row_order_does_not_matter(self, model, dataset):
-        # every MetaFit field, restart_thetas included, bit for bit; each of
-        # these shuffles changed the DL, ML and beta fits on both datasets
-        # while their per-study terms were summed in row order
+        # every MetaFit field, bit for bit; each of these shuffles changed
+        # the DL, ML and beta fits on both datasets while their per-study
+        # terms were summed in row order
         tables = parse_dataset(str(resources.files("grrr.data").joinpath(dataset + ".csv")))
         if model == "split-lognormal":
             inputs, fit = tables, fit_split_lognormal_model

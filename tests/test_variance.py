@@ -437,7 +437,10 @@ class TestMakeEstimate:
         est = make_estimate(_table(0, 10, 0, 20))
         assert est.theta_hat == 0.0
         assert est.sigma2 == 0.0
-        assert est.degenerate
+        assert est.degenerate and not est.informative
+        corrected = make_estimate(_table(0, 10, 0, 20), zero_correction=0.5)
+        assert corrected.degenerate and corrected.informative
+        assert make_estimate(_table(0, 12, 4, 15)).informative
 
     def test_boundary_without_correction_keeps_plugin(self):
         t = _table(0, 12, 4, 15)
