@@ -78,6 +78,7 @@ class MetaFit:
     ``i_squared`` is only defined for the direct (normal-model) fits;
     ``loglik`` only for likelihood fits; ``se_tau`` is None for DL (no
     analogue is defined) and 0.0 at a likelihood boundary tau-hat = 0.
+    ``restart_thetas`` is derived from these fields, not stored.
     """
 
     method: str
@@ -130,9 +131,9 @@ def beta_reparam(mean: float, variance: float) -> BetaMoments:
 
 def _usable(estimates: Sequence[GrrrEstimate], method: str,
             require_interior: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The theta-hat and sigma^2 arrays of the ``informative`` estimates,
-    which every fit reads. ``require_interior`` refuses, not drops, an
-    uninformative estimate, and refuses theta-hat = +-1 too."""
+    """The theta-hat and sigma^2 arrays that DL, ML and beta fit: the
+    ``informative`` estimates, in order. ``require_interior`` refuses,
+    rather than drops, an uninformative estimate, and refuses theta-hat = +-1."""
     kept = []
     for est in estimates:
         if not est.informative:
