@@ -46,7 +46,6 @@ __all__ = [
 _HEADER = ["study_id", "events_treatment", "n_treatment",
            "events_control", "n_control"]
 _MODELS = ("direct-ml", "direct-dl", "beta", "split-lognormal")
-_VARIANCES = ("exact", "bootstrap", "approx")
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,23 @@ class AnalysisReport:
             raise DomainError("per-study record count does not tally")
 
 
+def _read_dataset(path, swap_arms: bool) -> tuple[list[StudyTable], str]:
+    """``parse_dataset`` of a path, and the SHA-256 of the bytes parsed. The
+    file is read once, so a pipe hashes what was parsed."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"line {lineno}: not UTF-8 text") from None
+    return (parse_dataset(io.StringIO(text, newline=""), swap_arms),
+            hashlib.sha256(data).hexdigest())
+
+
 def parse_dataset(source, swap_arms: bool = False) -> list[StudyTable]:
     """Read study tables from a CSV path or text stream.
 
@@ -106,18 +122,7 @@ def parse_dataset(source, swap_arms: bool = False) -> list[StudyTable]:
     digits. Errors carry the 1-based line number of the offending row.
     """
     if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise DatasetError(f"cannot read {source}: {exc.strerror}") from exc
-        try:
-            text = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise DatasetError(f"line {lineno}: not UTF-8 text") from None
-        return parse_dataset(io.StringIO(text, newline=""), swap_arms)
-
+        return _read_dataset(source, swap_arms)[0]
     reader = csv.reader(source)
     try:
         header = next(reader)
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--input", required=True, help="CSV dataset path")
-        p.add_argument("--variance", choices=_VARIANCES, default="exact",
+        p.add_argument("--variance", choices=VarianceSpec.KINDS, default="exact",
                        help="within-study variance engine (default exact)")
         p.add_argument("--zero-correction", type=float, default=0.5,
                        metavar="C",
@@ -383,14 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _hash_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _config(args, **extra) -> AnalysisConfig:
     return AnalysisConfig(variance=args.variance,
                           zero_correction=args.zero_correction,
@@ -400,8 +397,8 @@ def _config(args, **extra) -> AnalysisConfig:
 
 def _cmd_analyze(args) -> int:
     config = _config(args, model=args.model, event_is_harm=args.event_is_harm)
-    tables = parse_dataset(args.input, swap_arms=args.control_first)
-    report = run_analysis(config, tables, dataset_hash=_hash_file(args.input))
+    tables, digest = _read_dataset(args.input, args.control_first)
+    report = run_analysis(config, tables, dataset_hash=digest)
     sys.stdout.buffer.write(emit_report(report, args.format,
                                         model=config.model))
     sys.stdout.buffer.flush()
@@ -413,14 +410,14 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = _config(args)
-    tables = parse_dataset(args.input, swap_arms=args.control_first)
+    tables, digest = _read_dataset(args.input, args.control_first)
     estimates, records = _study_records(config, tables)
     if args.format == "json":
         out = _json_bytes({
             "studies": [{**_study_fields(r), "degenerate": est.degenerate}
                         for r, est in zip(records, estimates)],
             "alpha": config.alpha,
-            "dataset_sha256": _hash_file(args.input),
+            "dataset_sha256": digest,
         })
     else:
         out = _csv_bytes(["study_id", "theta_hat", "sigma2", "ci_lower", "ci_upper", "note"],

@@ -24,5 +24,6 @@ class ResourceLimitError(GrrrError):
 
 
 class ConvergenceError(GrrrError):
-    """An iterative routine (optimiser, quadrature) failed to converge within
-    its budget."""
+    """A likelihood fit's standard errors are undefined: the observed
+    information at its optimum is not positive definite. The optimiser and
+    the quadrature report non-convergence through flags, not this error."""

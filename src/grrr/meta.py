@@ -149,7 +149,7 @@ def _usable(estimates: Sequence[GrrrEstimate], method: str,
         if est.sigma2 == 0.0:
             raise DomainError(
                 f"{method}: study {est.study_id!r} has zero within-study "
-                f"variance; use a zero-correction or the bootstrap")
+                f"variance; rebuild the estimates with a zero-correction > 0")
         kept.append(est)
     if len(kept) < 2:
         raise DomainError(f"{method}: needs at least 2 usable studies, got {len(kept)}")

@@ -61,12 +61,14 @@ class VarianceSpec:
     replicates/seed apply to the bootstrap only.
     """
 
+    KINDS = ("exact", "bootstrap", "approx")
+
     kind: str = "exact"
     replicates: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("exact", "bootstrap", "approx"):
+        if self.kind not in self.KINDS:
             raise DomainError(f"unknown variance method {self.kind!r}")
         if isinstance(self.replicates, bool) or not isinstance(self.replicates, int) \
                 or self.replicates < 1000:
@@ -109,27 +111,10 @@ class GrrrEstimate:
 # binomial pmf window
 # ---------------------------------------------------------------------------
 
-def _ratio_run(ratio, start: int, stop: int, width: int) -> np.ndarray:
-    """Running product ratio(start), ratio(start) ratio(start +- 1), ...
-    over the counts from ``start`` towards ``stop`` (exclusive), cut before
-    its first value below PMF_FLOOR.
-
-    The product is taken in chunks, the first ``width`` counts wide and each
-    later one twice the last, and stops with the chunk that crosses the
-    floor. A chunk continues the previous one's last value, so every value
-    is the same float product as one cumprod over all the counts."""
-    step = 1 if stop >= start else -1
-    parts, last = [], 1.0
-    while start != stop:
-        end = start + step * min(width, abs(stop - start))
-        run = np.cumprod(np.concatenate(([last], ratio(np.arange(start, end, step)))))[1:]
-        keep = run >= PMF_FLOOR
-        if not keep.all():
-            parts.append(run[: int(np.argmin(keep))])
-            break
-        parts.append(run)
-        last, start, width = run[-1], end, 2 * width
-    return np.concatenate(parts) if parts else np.empty(0)
+def _cut_at_floor(run: np.ndarray) -> np.ndarray:
+    """``run`` up to, not including, its first value below PMF_FLOOR."""
+    below = run < PMF_FLOOR
+    return run[: int(np.argmax(below))] if below.any() else run
 
 
 def binomial_pmf_window(n: int, p: float):
@@ -137,10 +122,11 @@ def binomial_pmf_window(n: int, p: float):
 
     Returns (first_index, pmf) where pmf[k] = P(X = first_index + k). The
     pmf is built from the mode outwards with the ratio recursion
-    P(i+1)/P(i) = ((n - i)/(i + 1)) (p/(1-p)), each side stopping at its
-    first value below PMF_FLOOR, and renormalised to sum exactly 1. A side's
-    first chunk spans 40 standard deviations, so the cost is
-    O(sqrt(n p (1-p)) + tail), not O(n).
+    P(i+1)/P(i) = ((n - i)/(i + 1)) (p/(1-p)), each side one cumprod cut
+    before its first value below PMF_FLOOR, and renormalised to sum exactly
+    1. A side spans at most 40 sd + 2L/3 + 2 counts (sd = sqrt(n p (1-p)),
+    L = ln((n + 1) / PMF_FLOOR)), so the cost is O(sqrt(n p (1-p)) + L),
+    not O(n).
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"binomial_pmf_window: n must be a non-negative integer, got {n!r}")
@@ -154,11 +140,19 @@ def binomial_pmf_window(n: int, p: float):
 
     mode = min(int(math.floor((n + 1) * p)), n)
     odds = p / (1.0 - p)
-    width = int(40.0 * math.sqrt(n * p * (1.0 - p))) + 64
+    # Bernstein's inequality bounds P(X = i) by exp(-t^2 / (2 sd^2 + 2t/3))
+    # at |i - np| = t, and P(mode) >= 1/(n + 1), so every value relative to
+    # the mode is below PMF_FLOOR once t >= 2L/3 + sqrt(2L) sd. sqrt(2L) < 40
+    # for n below 1e47 and the mode is within 1 of np, so each side meets
+    # the floor (or the support's edge) within ``width`` counts.
+    L = math.log(n + 1) - math.log(PMF_FLOOR)
+    width = int(40.0 * math.sqrt(n * p * (1.0 - p)) + 2.0 * L / 3.0) + 2
     # upward from the mode: f[i+1] = f[i] * ((n - i)/(i + 1)) * odds
-    up = _ratio_run(lambda i: (n - i) / (i + 1.0) * odds, mode, n, width)
+    i = np.arange(mode, min(n, mode + width))
+    up = _cut_at_floor(np.cumprod((n - i) / (i + 1.0) * odds))
     # downward: f[i-1] = f[i] * (i / (n - i + 1)) / odds
-    dn = _ratio_run(lambda i: i / (n - i + 1.0) / odds, mode, 0, width)
+    i = np.arange(mode, max(0, mode - width), -1)
+    dn = _cut_at_floor(np.cumprod(i / (n - i + 1.0) / odds))
 
     pmf = np.concatenate((dn[::-1], [1.0], up))
     pmf /= pmf.sum()

@@ -1,9 +1,13 @@
 """Command-line layer: parsing, dispatch, rendering, serialization, exit codes."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -470,6 +474,20 @@ class TestMainAnalyze:
         assert report["model"] == "direct-dl"
         assert report["n_studies_used"] == 4 and len(report["studies"]) == 4
 
+    def test_zero_variance_refusal_names_a_zero_correction(self, tmp_path, capsys):
+        # the bootstrap draws no spread for 0/40 at seed 1 without a
+        # zero-correction; only a zero-correction > 0 always mends that
+        path = _write_dataset(tmp_path, ["zero,0,40,6,50", "bravo,12,120,30,115"])
+        code = main(["analyze", "--input", path, "--model", "direct-dl",
+                     "--variance", "bootstrap", "--bootstrap-reps", "1000",
+                     "--zero-correction", "0", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "zero within-study variance" in captured.err
+        assert "zero-correction > 0" in captured.err
+        assert "bootstrap" not in captured.err
+        assert captured.out == ""
+
     def test_missing_file_exit_code(self, capsys):
         code = main(["analyze", "--input", "/does/not/exist.csv"])
         captured = capsys.readouterr()
@@ -505,6 +523,28 @@ class TestMainEstimate:
         path = _write_dataset(tmp_path)
         assert main(["estimate", "--input", path, "--zero-correction", "-1"]) == 1
         assert "zero_correction" in capsys.readouterr().err
+
+
+class TestDatasetHash:
+    @pytest.mark.parametrize("command", ["analyze", "estimate"])
+    def test_file_hash_is_sha256_of_its_bytes(self, tmp_path, capsysbinary, command):
+        # a byte-order mark and CRLF line ends: the hash is of the raw bytes
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + _dataset_text().replace("\n", "\r\n").encode())
+        assert main([command, "--input", str(path)]) == 0
+        obj = json.loads(capsysbinary.readouterr().out)
+        assert obj["dataset_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("command", ["analyze", "estimate"])
+    def test_piped_input_hash_is_sha256_of_the_piped_bytes(self, command):
+        data = _dataset_text().encode("utf-8")
+        src = str(Path(grrr.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "grrr", command, "--input", "/dev/stdin"],
+                              input=data, capture_output=True, env=env, check=True)
+        assert json.loads(proc.stdout)["dataset_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 class TestMainConvert:

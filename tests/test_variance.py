@@ -102,15 +102,11 @@ def _full_length_window(n, p):
     return mode - len(dn), pmf
 
 
-def _first_chunk(n, p):
-    return int(40.0 * math.sqrt(n * p * (1.0 - p))) + 64
-
-
 def _window_grid():
     fixed = [(n, p) for n in (0, 1, 2, 37, 10_000)
              for p in (0.0, 1e-12, 1e-6, 0.5, 1.0 - 1e-9, 1.0)]
     # the two arms of the mega-trial, and Poisson-like tails longer than
-    # the first chunk
+    # 40 standard deviations
     fixed += [(500_000, 0.27), (500_000, 0.3), (100_000, 1e-6), (100_000, 1.0 - 1e-6)]
     rng = np.random.default_rng(20261020)
     drawn = [(int(rng.integers(0, 200_000)), float(rng.random())) for _ in range(40)]
@@ -157,12 +153,41 @@ class TestBinomialPmfWindow:
             assert pmf.dtype == want.dtype and pmf.shape == want.shape, (n, p)
             assert np.array_equal(pmf.view(np.int64), want.view(np.int64)), (n, p)
 
-    def test_tail_longer_than_first_chunk(self):
-        # Poisson-like tails outgrow a width set by the standard deviation:
-        # the side must keep doubling its chunk until it reaches the floor
+    def test_poisson_tails_in_one_pass(self, monkeypatch):
+        # Poisson-like tails outgrow any width set by the standard deviation
+        # alone; the window's 2L/3 term covers them, so each side is one
+        # cumprod and still ends where the full-length product does
+        calls = []
+        cumprod = np.cumprod
+        monkeypatch.setattr(variance_module.np, "cumprod",
+                            lambda a: calls.append(len(a)) or cumprod(a))
         for n, p in [(100_000, 1e-6), (100_000, 1.0 - 1e-6)]:
-            _, pmf = binomial_pmf_window(n, p)
-            assert len(pmf) > _first_chunk(n, p)
+            calls.clear()
+            start, pmf = binomial_pmf_window(n, p)
+            assert len(calls) == 2, (n, p)
+            assert len(pmf) > 40.0 * math.sqrt(n * p * (1.0 - p)) + 64, (n, p)
+            want_start, want = _full_length_window(n, p)
+            assert start == want_start and np.array_equal(pmf, want), (n, p)
+
+    def test_floor_or_edge_ends_each_side(self):
+        # n up to 1e12 with p within 1e-13 of 0 or of 1 and sd <= 1e4: one
+        # more ratio step past either end of the window falls below
+        # PMF_FLOOR relative to the mode, unless that end is the support's
+        # edge, so the floor or the edge cut each side, never its width
+        rng = np.random.default_rng(20261021)
+        floor = variance_module.PMF_FLOOR * (1.0 + 1e-9)   # rounding slack
+        for _ in range(1000):
+            n = int(10.0 ** rng.uniform(0.0, 12.0))
+            small = 10.0 ** rng.uniform(-13.0, math.log10(min(0.5, 1e8 / n)))
+            for p in (small, 1.0 - small):
+                start, pmf = binomial_pmf_window(n, p)
+                top = pmf[min(math.floor((n + 1) * p), n) - start]
+                odds = p / (1.0 - p)
+                end = start + len(pmf) - 1
+                if end < n:
+                    assert pmf[-1] / top * ((n - end) / (end + 1.0) * odds) < floor, (n, p)
+                if start > 0:
+                    assert pmf[0] / top * (start / (n - start + 1.0) / odds) < floor, (n, p)
 
     def test_hundred_million_trial(self):
         n, p = 10**8, 0.3
