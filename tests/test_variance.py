@@ -161,7 +161,8 @@ class TestBinomialPmfWindow:
         cumprod = np.cumprod
         monkeypatch.setattr(variance_module.np, "cumprod",
                             lambda a: calls.append(len(a)) or cumprod(a))
-        for n, p in [(100_000, 1e-6), (100_000, 1.0 - 1e-6)]:
+        for n, p in [(100_000, 1e-6), (100_000, 1.0 - 1e-6),
+                     (100_000, 1e-4), (100_000, 1.0 - 1e-4)]:
             calls.clear()
             start, pmf = binomial_pmf_window(n, p)
             assert len(calls) == 2, (n, p)
