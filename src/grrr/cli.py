@@ -290,7 +290,9 @@ def _study_fields(r: StudyRecord) -> dict:
 def emit_report(report: AnalysisReport, fmt: str = "json",
                 model: str = "") -> bytes:
     """Serialize a report. JSON keys are emitted in a fixed documented
-    order; CSV is the per-study rows plus one row flagged POOLED."""
+    order; CSV is the per-study rows plus one row flagged POOLED. A
+    non-empty ``model`` replaces ``fit.method`` as the JSON ``model``: the
+    benchmark (``perfbench/run.py``) passes it, the CLI does not."""
     fit = report.fit
     if fmt == "json":
         return _json_bytes({
@@ -366,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "arm first, treatment arm second")
 
     analyze = sub.add_parser("analyze", help="pooled meta-analysis")
+    analyze.set_defaults(run=_cmd_analyze)
     add_common(analyze)
     analyze.add_argument("--model", choices=_MODELS, default="direct-ml")
     direction = analyze.add_mutually_exclusive_group()
@@ -377,10 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="the event is desirable")
 
     estimate = sub.add_parser("estimate", help="per-study estimates only")
+    estimate.set_defaults(run=_cmd_estimate)
     add_common(estimate)
 
     convert = sub.add_parser("convert",
                              help="odds ratio to the GRRR scale")
+    convert.set_defaults(run=_cmd_convert)
     convert.add_argument("--or", dest="or_value", type=float, required=True)
     convert.add_argument("--or-ci", metavar="L,U", default=None,
                          help="comma-separated odds-ratio CI bounds")
@@ -395,40 +400,31 @@ def _config(args, **extra) -> AnalysisConfig:
                           seed=args.seed, alpha=args.alpha, **extra)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     config = _config(args, model=args.model, event_is_harm=args.event_is_harm)
     tables, digest = _read_dataset(args.input, args.control_first)
     report = run_analysis(config, tables, dataset_hash=digest)
-    sys.stdout.buffer.write(emit_report(report, args.format,
-                                        model=config.model))
-    sys.stdout.buffer.flush()
-    if not report.fit.converged:
-        print("warning: fit did not converge", file=sys.stderr)
-        return 1
-    return 0
+    warning = None if report.fit.converged else "warning: fit did not converge"
+    return emit_report(report, args.format), warning
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args):
     config = _config(args)
     tables, digest = _read_dataset(args.input, args.control_first)
     estimates, records = _study_records(config, tables)
     if args.format == "json":
-        out = _json_bytes({
+        return _json_bytes({
             "studies": [{**_study_fields(r), "degenerate": est.degenerate}
                         for r, est in zip(records, estimates)],
             "alpha": config.alpha,
             "dataset_sha256": digest,
-        })
-    else:
-        out = _csv_bytes(["study_id", "theta_hat", "sigma2", "ci_lower", "ci_upper", "note"],
-                         [[r.study_id, r.theta_hat, r.sigma2, r.ci_lower, r.ci_upper,
-                           r.ci_note] for r in records])
-    sys.stdout.buffer.write(out)
-    sys.stdout.buffer.flush()
-    return 0
+        }), None
+    return _csv_bytes(["study_id", "theta_hat", "sigma2", "ci_lower", "ci_upper", "note"],
+                      [[r.study_id, r.theta_hat, r.sigma2, r.ci_lower, r.ci_upper,
+                        r.ci_note] for r in records]), None
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args):
     ci = None
     if args.or_ci is not None:
         parts = args.or_ci.split(",")
@@ -441,25 +437,25 @@ def _cmd_convert(args) -> int:
                               ) from None
     theta, theta_ci = convert_mode(args.or_value, ci, args.baseline_risk)
     lo, hi = (None, None) if theta_ci is None else theta_ci
-    sys.stdout.buffer.write(_json_bytes({"odds_ratio": args.or_value,
-                                         "baseline_risk": args.baseline_risk,
-                                         "theta": theta, "ci_lower": lo, "ci_upper": hi}))
-    sys.stdout.buffer.flush()
-    return 0
+    return _json_bytes({"odds_ratio": args.or_value, "baseline_risk": args.baseline_risk,
+                        "theta": theta, "ci_lower": lo, "ci_upper": hi}), None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: its report goes to stdout, then its warning, if
+    any, to stderr. Exit status 1 on an error or a warning, else 0."""
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        return _cmd_convert(args)
+        out, warning = args.run(args)
     except GrrrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.buffer.write(out)
+    sys.stdout.buffer.flush()
+    if warning:
+        print(warning, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

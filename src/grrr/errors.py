@@ -19,7 +19,9 @@ class DatasetError(GrrrError):
 class ResourceLimitError(GrrrError):
     """A computation would exceed a configured resource cap.
 
-    Kept for API compatibility: no computation in this package raises it.
+    No computation in this package raises it. It is kept because the
+    benchmark's tracer (``perfbench/tracing.py``) imports it, and goes with
+    the benchmark change of ROADMAP direction 2.
     """
 
 

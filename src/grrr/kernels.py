@@ -12,8 +12,7 @@ contracts are tested here once:
                             equal to the scalar form
 * ``integrate_vector``      one fixed composite Gauss-Kronrod (G7,K15)
                             rule per row on caller-given panels, in log
-                            space, with each row's K15 - G7 error estimate;
-                            several integrands may share each row's panels
+                            space, with each row's K15 - G7 error estimate
 * ``minimize``              Nelder-Mead simplex (scipy), deterministic,
                             xatol 1e-8, fatol 1e-12, <= 10,000 evaluations
 * ``make_rng``              PCG64-backed, reproducible per seed
@@ -177,17 +176,16 @@ def integrate_vector(
     ``edges`` is an (m, p + 1) array whose row i holds the non-decreasing
     panel edges of integrand i; a panel of zero width contributes nothing,
     so rows with fewer panels are padded by repeating an edge. ``log_f``
-    maps an (m, n) array of abscissae (row i: nodes of row i's panels) to
-    the (m, n) logarithms of the integrands, or to a (j m, n) stack of j
-    such blocks: j integrands on each row's panels, integrated as one
-    (j m)-row call with ``edges`` repeated j times would be, bit for bit.
-    Each row is scaled by its largest value before ``exp``, so an integrand
-    may lie at any magnitude.
+    maps the (m, p * 15) array of abscissae (row i: the nodes of row i's
+    panels) to the (m, p * 15) logarithms of the integrands. Rows with equal
+    edges get equal nodes, so integrands that share panels may read one
+    row's nodes. Each row is scaled by its largest value before ``exp``, so
+    an integrand may lie at any magnitude.
 
     Returns (log_values, errors, converged, evaluations): the logarithms of
-    the j m integrals; each row's summed panel |K15 - G7| relative to its
+    the m integrals; each row's summed panel |K15 - G7| relative to its
     integral, which estimates the absolute error of its log value;
-    whether every error is <= tol; and the j m * p * 15 integrand values
+    whether every error is <= tol; and the m * p * 15 integrand values
     computed. Rows are reduced along their own axis in a fixed order, so a
     row's result does not depend on its position among the others.
     """
@@ -203,18 +201,15 @@ def integrate_vector(
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
     log_fx = np.asarray(log_f((mid + half * _GK_NODES).reshape(m, p * 15)), dtype=float)
-    rows = len(log_fx) if log_fx.ndim == 2 else 0
-    if (rows == 0 or rows % m or log_fx.shape[1] != p * 15
-            or not np.isfinite(log_fx).all()):
+    if log_fx.shape != (m, p * 15) or not np.isfinite(log_fx).all():
         raise DomainError("integrate_vector: log integrand must be finite, "
-                          "one value per node for each of one or more stacked integrands")
+                          "one value per node")
     top = log_fx.max(axis=1)
-    fx = (np.exp(log_fx - top[:, None]).reshape(rows // m, m, p, 15) * half
-          ).reshape(rows, p, 15)
+    fx = np.exp(log_fx - top[:, None]).reshape(m, p, 15) * half
     kron = (fx * _GK_WEIGHTS).sum(axis=-1).sum(axis=-1)
     diff = np.abs((fx * _K_MINUS_G).sum(axis=-1)).sum(axis=-1)
     errors = diff / kron
-    return top + np.log(kron), errors, bool((errors <= tol).all()), rows * p * 15
+    return top + np.log(kron), errors, bool((errors <= tol).all()), m * p * 15
 
 
 # ---------------------------------------------------------------------------

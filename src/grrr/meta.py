@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import StudyTable
-from .distribution import SplitLognormalApprox, loglik as split_loglik
+from .distribution import _LOG_SQRT_TWO_PI, SplitLognormalApprox, loglik as split_loglik
 from .errors import ConvergenceError, DomainError
 from .kernels import integrate_vector, log_beta, minimize
 from .variance import GrrrEstimate, VarianceSpec, make_estimate
@@ -354,7 +354,6 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
 # ---------------------------------------------------------------------------
 
 _LN2 = math.log(2.0)
-_LN_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SIDES = np.array([-1.0, 1.0])   # column 0: u <= 0, column 1: u >= 0
 _GEOMETRIC = 0.5 * 3.0 ** np.arange(5)   # panel edges at 0.5, 1.5, ..., 40.5 scales
 _OFFSETS = np.concatenate([-_GEOMETRIC[::-1], _GEOMETRIC])
@@ -430,7 +429,7 @@ class _SplitMarginal:
         s = np.where(self.mirrored, s2, s1)
         self.precision = 1.0 / (s * s)
         self.r = np.where(self.mirrored, s1 / s2, s2 / s1)
-        self.log_norm = -np.log(s) - _LN_SQRT_TWO_PI - self.x
+        self.log_norm = -np.log(s) - _LOG_SQRT_TWO_PI - self.x
         self.neg_half_precision = -0.5 * self.precision
         # per side: phi's rate rho in t = e^(-rho |u|) / 2
         rho = np.concatenate([np.ones_like(self.r), self.r], axis=1)
@@ -449,9 +448,9 @@ class _SplitMarginal:
         A narrow Beta (mode +- 40.5 sd inside (0, 1)) is integrated in the
         mode-anchored form, and each study's integral is divided by the bare
         Beta mass integrated on the same nodes, which cancels the rounding
-        of phi(u) and the truncated tails: the mass rows are stacked under
-        the likelihood rows, on the same panels and from the same weight
-        values. A wide one carries -ln B(alpha, beta) directly."""
+        of phi(u) and the truncated tails: the mass rows repeat the
+        likelihood rows' panels and reuse their nodes and weight values. A
+        wide one carries -ln B(alpha, beta) directly."""
         k = len(self.x)
         a = np.where(self.mirrored, beta, alpha)   # shapes of phi
         b = np.where(self.mirrored, alpha, beta)
@@ -478,14 +477,14 @@ class _SplitMarginal:
             return log_values, converged
 
         def log_f_and_mass(u):
-            # rows k..2k-1: the bare Beta weight on the same nodes
-            w = weight(u)
-            return np.concatenate([self.log_normal(u) + w + offset, w])
+            # rows k..2k-1: the bare Beta weight on rows 0..k-1's nodes
+            w = weight(u[:k])
+            return np.concatenate([self.log_normal(u[:k]) + w + offset, w])
 
         beta_edges = _u_of_phi(mode + sd * _BETA_OFFSETS, self.r)
         edges = _compact(np.concatenate([edges, beta_edges], axis=1))
-        log_values, _, converged, _ = integrate_vector(log_f_and_mass, edges,
-                                                       _SPLIT_QUAD_TOL)
+        log_values, _, converged, _ = integrate_vector(
+            log_f_and_mass, np.concatenate([edges, edges]), _SPLIT_QUAD_TOL)
         return log_values[:k] - log_values[k:], converged
 
 

@@ -474,6 +474,28 @@ class TestMainAnalyze:
         assert report["model"] == "direct-dl"
         assert report["n_studies_used"] == 4 and len(report["studies"]) == 4
 
+    def test_unconverged_report_precedes_its_warning(self, tmp_path, monkeypatch):
+        # stdout and stderr into one sink, as a merged 2>&1 stream
+        class Sink:
+            def __init__(self):
+                self.buffer = io.BytesIO()
+
+            def write(self, text):
+                return self.buffer.write(text.encode("utf-8"))
+
+        def unconverged(estimates):
+            return dataclasses.replace(fit_direct_dl(estimates), converged=False)
+
+        monkeypatch.setattr(grrr.cli, "fit_direct_dl", unconverged)
+        monkeypatch.setattr(sys, "stdout", Sink())
+        monkeypatch.setattr(sys, "stderr", sys.stdout)
+        code = main(["analyze", "--input", _write_dataset(tmp_path), "--model", "direct-dl"])
+        merged, warning = sys.stdout.buffer.getvalue(), b"warning: fit did not converge\n"
+        monkeypatch.undo()
+        assert code == 1
+        assert merged.endswith(b"}\n" + warning)
+        assert json.loads(merged[:-len(warning)])["converged"] is False
+
     def test_zero_variance_refusal_names_a_zero_correction(self, tmp_path, capsys):
         # the bootstrap draws no spread for 0/40 at seed 1 without a
         # zero-correction; only a zero-correction > 0 always mends that
@@ -567,8 +589,17 @@ class TestMainConvert:
     def test_malformed_ci(self, capsys):
         code = main(["convert", "--or", "3", "--or-ci", "2;4.5",
                      "--baseline-risk", "0.5"])
+        captured = capsys.readouterr()
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert captured.err == "error: --or-ci expects two comma-separated numbers\n"
+        assert captured.out == ""
+
+    def test_zero_odds_ratio_is_one_error_line(self, capsys):
+        code = main(["convert", "--or", "0", "--baseline-risk", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 _ZERO_CELL_ROWS = _FOUR_ROWS + [

@@ -280,25 +280,28 @@ class TestIntegrateVector:
         assert errs.shape == (3,)
         assert evals == 3 * 2 * 15
 
-    def test_stacked_integrands_equal_repeated_edges(self):
-        # j integrands on each row's panels: bit for bit the call that
-        # repeats the edges j times, with the same evaluation count
+    def test_repeated_edges_repeat_the_nodes(self):
+        # rows with equal edges get equal nodes, so a second block on the
+        # repeated edges may read the first block's: bit for bit the two
+        # single-block calls, as the narrow Beta's mass rows rely on
         log_f, edges = self._rows()
 
-        def stacked(x):
-            return np.concatenate([log_f(x), 0.5 * log_f(x) - 3.0])
+        def second(x):
+            return 0.5 * log_f(x) - 3.0
 
-        def repeated(x):
-            return np.concatenate([log_f(x[:3]), 0.5 * log_f(x[3:]) - 3.0])
+        got = integrate_vector(lambda x: np.concatenate([log_f(x[:3]), second(x[:3])]),
+                               edges + edges)
+        wants = [integrate_vector(f, edges) for f in (log_f, second)]
+        for block, want in enumerate(wants):
+            rows = slice(3 * block, 3 * block + 3)
+            assert np.array_equal(got[0][rows], want[0])
+            assert np.array_equal(got[1][rows], want[1])
+        assert got[2] == (wants[0][2] and wants[1][2])
+        assert got[3] == wants[0][3] + wants[1][3] == 2 * 3 * 2 * 15
 
-        got = integrate_vector(stacked, edges)
-        want = integrate_vector(repeated, edges + edges)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2:] == want[2:] and got[3] == 2 * 3 * 2 * 15
-
-    def test_stacked_rows_must_be_a_multiple_of_the_edge_rows(self):
+    def test_log_f_returns_one_row_per_edge_row(self):
         log_f, edges = self._rows()
-        for rows in (2, 4, 5):   # three edge rows
+        for rows in (2, 4, 5, 6):   # three edge rows
             with pytest.raises(DomainError):
                 integrate_vector(lambda x, n=rows: np.concatenate([log_f(x)] * 2)[:n], edges)
 

@@ -74,7 +74,7 @@ def test_import_times_finds_scipy_optimize_under_grrr_cli():
     """The traced benchmark reads import.scipy_optimize_s from ``python -X
     importtime -c "import grrr.cli"`` and fails the whole run when that
     import no longer pulls in scipy.optimize. This test goes once the
-    benchmark times its imports itself (ROADMAP direction 1)."""
+    benchmark times its imports itself (ROADMAP direction 2)."""
     tracing = _load_tracing()
     tracing.IMPORT_STARTS = 1
     src = Path(cli.__file__).resolve().parents[1]

@@ -1,10 +1,14 @@
-"""Print one SHA-256 of stdout per (input, command, model, variance, format).
+"""Print SHA-256s of stdout and of the merged output of many ``grrr`` runs.
 
 Runs ``grrr analyze`` and ``grrr estimate`` in process on the bundled
-datasets and ``grrr analyze`` on the seeded inputs of
-``perfbench/workloads.py`` (imported, not changed). Run it from the root of
-each of two checkouts and diff the outputs to check that a change leaves
-every report byte-identical:
+datasets, also with each non-default flag and the bootstrap engine;
+``grrr analyze`` on the seeded inputs of ``perfbench/workloads.py``
+(imported, not changed); and ``grrr convert`` with and without an interval
+and on two bad inputs. Each line holds the SHA-256 of stdout, that of
+stdout and stderr written to one sink in write order (as ``2>&1`` merges
+them), the exit status and the run. Run it from the root of each of two
+checkouts and diff the outputs to check that a change leaves every byte
+and its order unchanged:
 
     python3 tools/stdout_digests.py > digests.txt
 """
@@ -25,6 +29,10 @@ import workloads  # noqa: E402
 
 MODELS = ("direct-ml", "direct-dl", "beta", "split-lognormal")
 ROUNDS = {"split-lognormal": MODELS, "registry": MODELS[:3], "large-trials": MODELS[:3]}
+FLAGS = (["--control-first"], ["--benefit"], ["--zero-correction", "0"], ["--alpha", "0.1"],
+         ["--variance", "bootstrap", "--bootstrap-reps", "1000"])
+CONVERTS = (["--or", "3", "--or-ci", "2,4.5"], ["--or", "3"],
+            ["--or", "3", "--or-ci", "2;4.5"], ["--or", "0"])
 
 
 def inputs():
@@ -38,23 +46,45 @@ def inputs():
                     yield f"{round_name}/{seed}/{a.name}", a.csv, False, models
 
 
-def stdout_digest(argv) -> str:
-    """SHA-256 of what ``grrr <argv>`` writes to stdout, and its exit status."""
-    out = types.SimpleNamespace(buffer=io.BytesIO())
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+class Tee(io.BytesIO):
+    """A byte stream that also copies each write, in order, to ``merged``."""
+    def __init__(self, merged):
+        super().__init__()
+        self.merged = merged
+
+    def write(self, data):
+        self.merged.write(data)
+        return super().write(data)
+
+
+def digests(argv) -> str:
+    """SHA-256s of what ``grrr <argv>`` writes to stdout and to stdout and
+    stderr together, and its exit status."""
+    merged = io.BytesIO()
+    out = Tee(merged)
+    err = io.TextIOWrapper(Tee(merged), encoding="utf-8", write_through=True)
+    with (contextlib.redirect_stdout(types.SimpleNamespace(buffer=out)),
+          contextlib.redirect_stderr(err)):
         status = cli.main(argv)
-    return f"{hashlib.sha256(out.buffer.getvalue()).hexdigest()} exit={status}"
+    return " ".join([hashlib.sha256(out.getvalue()).hexdigest(),
+                     hashlib.sha256(merged.getvalue()).hexdigest(), f"exit={status}"])
 
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "input.csv"
     for name, text, estimate, models in inputs():
         path.write_bytes(text.encode("utf-8"))
-        runs = [("analyze", "--model", m) for m in models]
-        runs += [("estimate",)] if estimate else []
+        runs = [("analyze", "--model", m) for m in models] + [("estimate",)] * estimate
         for command, *model in runs:
             for variance in ("exact", "approx"):
                 for fmt in ("json", "csv"):
                     argv = [command, *model, "--input", str(path),
                             "--variance", variance, "--format", fmt]
-                    print(stdout_digest(argv), name, command, *model[1:], variance, fmt)
+                    print(digests(argv), name, command, *model[1:], variance, fmt)
+        for flags in FLAGS if name in ("bcg", "streptokinase") else ():
+            for command, *model in runs:
+                if command == "analyze" or flags != ["--benefit"]:
+                    print(digests([command, *model, "--input", str(path), *flags]),
+                          name, command, *model[1:], *flags)
+    for flags in CONVERTS:
+        print(digests(["convert", *flags, "--baseline-risk", "0.5"]), "convert", *flags)
