@@ -501,14 +501,17 @@ def _panel_edges(marginal, log_f, a, b, sd):
     neg_rho, side_rho = marginal.neg_rho, marginal.side_rho
     neg_rho2_other = marginal.neg_rho2 * other
 
-    def slopes(u):
+    def slope_at(u):
+        """The slope at u, and the q = t / (1 - t) and 1 - t of its curvature."""
         t = 0.5 * np.exp(neg_rho * np.abs(u))
         t_c = 1.0 - t
         q = t / t_c
-        slope = precision * (x - u) - side_rho * (own - other * q)
+        return precision * (x - u) - side_rho * (own - other * q), q, t_c
+
+    def slopes(u):
+        slope_u, q, t_c = slope_at(u)
         # curvature, made at most that of the normal factor
-        curv = np.minimum(neg_rho2_other * q / t_c, 0.0) - precision
-        return slope, curv
+        return slope_u, np.minimum(neg_rho2_other * q / t_c, 0.0) - precision
 
     # Each side's peak: at u = 0 when the slope there points at the kink,
     # otherwise inside a bracket that the bounded weight slopes give in
@@ -519,7 +522,7 @@ def _panel_edges(marginal, log_f, a, b, sd):
                          zero], axis=1)
     hi = np.concatenate([zero, np.maximum(x + r * np.maximum(-b, a - 1.0 - b) / precision,
                                           0.0)], axis=1)
-    slope_lo, slope_hi = slopes(np.stack([lo, hi]))[0]
+    slope_lo, slope_hi = slope_at(np.stack([lo, hi]))[0]
     at_kink = np.where(_SIDES > 0.0, slope_lo, slope_hi) * _SIDES <= 0.0
     lo = np.where(at_kink, 0.0, lo)
     hi = np.where(at_kink, 0.0, hi)

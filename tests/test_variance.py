@@ -7,6 +7,7 @@ comparison re-runs the brute force live.
 """
 
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -265,6 +266,85 @@ def _grid_mean_var(table, dtype=np.float64):
 # 135,000/500,000 treated vs 150,000/500,000 control: 24,083 x 23,330
 # support points, past the reach of any outer-product grid
 _MEGA = _table(135_000, 500_000, 150_000, 500_000)
+
+
+def _stacked_exact_mean_var(n1, p, n2, q):
+    """The exact mean and variance with every row kept: the (3, W) stack of
+    q_j (j - m)^r and its prefix sums, and both branches' gathered sums at
+    once. The buffer-reusing one must reproduce it bit for bit."""
+    i_start, pv = binomial_pmf_window(n1, p)
+    j_start, qv = binomial_pmf_window(n2, q)
+    j = np.arange(j_start, j_start + len(qv))
+    m = float((qv * j).sum())
+    a = j - m
+    prefix = np.zeros((3, len(qv) + 1))
+    np.cumsum(np.stack((qv, qv * a, qv * a * a)), axis=1, out=prefix[:, 1:])
+
+    i = np.arange(i_start, i_start + len(pv), dtype=float)
+    in2 = i * n2
+    split = np.clip(np.where(i > 0, in2 // n1 + 1, 0) - j_start, 0,
+                    len(qv)).astype(np.int64)
+    lower = prefix[:, split]
+    branches = ((lower, np.divide(n1, in2, out=np.zeros(len(i)), where=i > 0)),
+                (prefix[:, -1:] - lower,
+                 np.divide(n1, (n1 - i) * n2, out=np.zeros(len(i)), where=i < n1)))
+    d = in2 / n1 - m
+    e1 = float(sum((pv * k * (s[1] - d * s[0])).sum() for s, k in branches))
+    var = 0.0
+    for s, k in branches:
+        e = d + np.divide(e1, k, out=np.zeros(len(i)), where=k > 0)
+        var += float((pv * k * k * (s[2] - 2.0 * e * s[1] + e * e * s[0])).sum())
+    return e1, max(0.0, var)
+
+
+def _exact_grid():
+    """(n1, p, n2, q): every table of arms up to 6 and 9, p or q in {0, 1}
+    among them; ties between i n2 / n1 and a treatment count; seeded
+    unequal arms up to 1e4; arms of 1e4 to 1e8; and the 1e10 table of
+    ``test_exact_beyond_int64_count_products``."""
+    grid = [(n1, i / n1, n2, j / n2) for n1 in (1, 2, 3, 6) for n2 in (1, 2, 4, 9)
+            for i in range(n1 + 1) for j in range(n2 + 1)]
+    grid += [(40, 0.25, 40, 0.25), (60, 0.5, 30, 0.5), (7, 3 / 7, 14, 6 / 14),
+             (1000, 0.3, 500, 0.3), (300, 0.1, 900, 0.1)]
+    rng = np.random.default_rng(20261021)
+    for _ in range(60):
+        n1, n2 = (int(10.0 ** rng.uniform(0.0, 4.0)) for _ in range(2))
+        grid.append((n1, int(rng.integers(0, n1 + 1)) / n1,
+                     n2, int(rng.integers(0, n2 + 1)) / n2))
+    grid += [(n, 0.3, n, 0.27) for n in (10**4, 10**5, 500_000, 10**6, 10**7, 10**8)]
+    grid += [(10**5, 0.02, 3 * 10**5, 0.6), (10**7, 0.97, 10**6, 1e-4)]
+    n = 10**10
+    grid.append((n, (n - 30_000) / n, n, (n - 27_000) / n))
+    return grid
+
+
+def _bits(mean_var):
+    return np.array(mean_var, dtype=float).view(np.int64).tolist()
+
+
+class TestExactMeanVar:
+    def test_bitwise_equal_to_stacked_reference(self):
+        for n1, p, n2, q in _exact_grid():
+            got = variance_module._exact_mean_var(n1, p, n2, q)
+            assert _bits(got) == _bits(_stacked_exact_mean_var(n1, p, n2, q)), (n1, p, n2, q)
+
+    def test_peak_memory_per_window_count(self):
+        # ~2e6 per arm: windows of ~5e4 counts, so the peak is the per-count
+        # rows; the stacked reference takes ~93 bytes a count
+        n1, p, n2, q = 2_000_000, 0.3, 2_000_000, 0.27
+        counts = len(binomial_pmf_window(n1, p)[1]) + len(binomial_pmf_window(n2, q)[1])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            variance_module._exact_mean_var(n1, p, n2, q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 64 * counts, peak / counts
 
 
 class TestVarianceExactLargeArms:

@@ -2,13 +2,15 @@
 
 Runs ``grrr analyze`` and ``grrr estimate`` in process on the bundled
 datasets, also with each non-default flag and the bootstrap engine;
-``grrr analyze`` on the seeded inputs of ``perfbench/workloads.py``
-(imported, not changed); and ``grrr convert`` with and without an interval
-and on two bad inputs. Each line holds the SHA-256 of stdout, that of
-stdout and stderr written to one sink in write order (as ``2>&1`` merges
-them), the exit status and the run. Run it from the root of each of two
-checkouts and diff the outputs to check that a change leaves every byte
-and its order unchanged:
+``grrr estimate`` on an interior table of 1e8 per arm, whose pmf windows
+are ~90 times wider than any other input's, and on a table of 1e10 per arm
+near the boundary, whose count products pass 2^63; ``grrr analyze`` on the
+seeded inputs of ``perfbench/workloads.py`` (imported, not changed); and
+``grrr convert`` with and without an interval and on two bad inputs. Each
+line holds the SHA-256 of stdout, that of stdout and stderr written to one
+sink in write order (as ``2>&1`` merges them), the exit status and the
+run. Run it from the root of each of two checkouts and diff the outputs to
+check that a change leaves every byte and its order unchanged:
 
     python3 tools/stdout_digests.py > digests.txt
 """
@@ -33,12 +35,18 @@ FLAGS = (["--control-first"], ["--benefit"], ["--zero-correction", "0"], ["--alp
          ["--variance", "bootstrap", "--bootstrap-reps", "1000"])
 CONVERTS = (["--or", "3", "--or-ci", "2,4.5"], ["--or", "3"],
             ["--or", "3", "--or-ci", "2;4.5"], ["--or", "0"])
+HEADER = "study_id,events_treatment,n_treatment,events_control,n_control\n"
+LARGE_ARMS = {"interior-1e8": "LARGE-1e8,27000000,100000000,30000000,100000000\n",
+              "near-boundary-1e10":
+                  "LARGE-1e10,9999973000,10000000000,9999970000,10000000000\n"}
 
 
 def inputs():
     """(name, CSV text, whether to run estimate, models) of every input."""
     for path in sorted((ROOT / "src" / "grrr" / "data").glob("*.csv")):
         yield path.stem, path.read_text(encoding="utf-8"), True, MODELS
+    for name, row in LARGE_ARMS.items():
+        yield name, HEADER + row, True, ()
     for seed in (0, 1):
         for round_name, models in ROUNDS.items():
             for a in workloads.ROUNDS[round_name](seed):
