@@ -10,15 +10,15 @@ sampling distribution by a split-lognormal law for tests and intervals,
 and pools studies under four random-effects models.
 """
 
-from .core import (StudyTable, estimate_theta, mean_baseline_risk,
-                   odds_ratio_to_theta, phi_to_theta, probs_to_phi,
-                   q_from_p_theta, theta_from_probs)
+from .core import (StudyTable, estimate_theta, odds_ratio_to_theta,
+                   phi_to_theta, probs_to_phi, q_from_p_theta,
+                   theta_from_probs)
 from .distribution import (SplitLognormalApprox, cdf, confidence_interval,
                            loglik, p_value, pdf)
 from .errors import (ConvergenceError, DatasetError, DomainError, GrrrError,
                      ResourceLimitError)
-from .meta import (BetaMoments, MetaFit, beta_reparam, fit_beta_model,
-                   fit_direct_dl, fit_direct_ml, fit_split_lognormal_model)
+from .meta import (MetaFit, fit_beta_model, fit_direct_dl, fit_direct_ml,
+                   fit_split_lognormal_model)
 from .variance import (GrrrEstimate, VarianceSpec, delta_method_params,
                        make_estimate, variance_analytic, variance_bootstrap,
                        variance_exact)
@@ -33,7 +33,6 @@ __all__ = [
     "probs_to_phi",
     "phi_to_theta",
     "odds_ratio_to_theta",
-    "mean_baseline_risk",
     "GrrrEstimate",
     "VarianceSpec",
     "make_estimate",
@@ -48,8 +47,6 @@ __all__ = [
     "p_value",
     "confidence_interval",
     "MetaFit",
-    "BetaMoments",
-    "beta_reparam",
     "fit_direct_dl",
     "fit_direct_ml",
     "fit_beta_model",

@@ -356,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="within-study variance engine (default exact)")
         p.add_argument("--zero-correction", type=float, default=0.5,
                        metavar="C",
-                       help="added to all four cells of tables with a zero "
-                            "margin where a method needs interior values "
-                            "(default 0.5)")
+                       help="added to all four cells of every table with an "
+                            "arm proportion of 0 or 1, under every model "
+                            "and by estimate (default 0.5; 0 turns it off)")
         p.add_argument("--bootstrap-reps", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--alpha", type=float, default=0.05)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DatasetError, DomainError
 
@@ -49,7 +48,6 @@ __all__ = [
     "probs_to_phi",
     "phi_to_theta",
     "odds_ratio_to_theta",
-    "mean_baseline_risk",
 ]
 
 
@@ -222,18 +220,3 @@ def odds_ratio_to_theta(odds_ratio: float, p: float) -> float:
         raise DomainError(f"odds_ratio must be finite and > 0, got {odds_ratio!r}")
     phi = (odds_ratio - 1.0) / (odds_ratio + 1.0)
     return phi_to_theta(phi, p)
-
-
-def mean_baseline_risk(tables: Iterable[StudyTable], weighted: bool = False) -> float:
-    """Average control-arm risk across studies, for use as the baseline in
-    odds-ratio conversion. ``weighted=False`` averages the per-study
-    proportions; ``weighted=True`` pools events over subjects. Both are
-    legitimate conventions, so both are exposed and the caller chooses."""
-    tables = list(tables)
-    if not tables:
-        raise DatasetError("mean_baseline_risk: no studies supplied")
-    if weighted:
-        events = sum(t.events_control for t in tables)
-        n = sum(t.n_control for t in tables)
-        return events / n
-    return sum(t.p_hat for t in tables) / len(tables)

@@ -44,9 +44,7 @@ from .kernels import integrate_vector, log_beta, minimize
 from .variance import GrrrEstimate, VarianceSpec, make_estimate
 
 __all__ = [
-    "BetaMoments",
     "MetaFit",
-    "beta_reparam",
     "fit_direct_dl",
     "fit_direct_ml",
     "fit_beta_model",
@@ -57,18 +55,6 @@ _TAU_EPS = 1e-8          # shift inside v = ln(tau + eps)
 _TAU_BOUNDARY = 1e-6     # below this, tau-hat is reported as exactly 0
 _THETA_CAP = 1.0 - 1e-12
 _PENALTY = 1e10
-
-
-@dataclass(frozen=True)
-class BetaMoments:
-    """Beta shape parameters recovered from a (mean, variance) pair."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise DomainError(f"Beta shapes must be > 0, got {(self.alpha, self.beta)!r}")
 
 
 @dataclass(frozen=True)
@@ -108,23 +94,6 @@ class MetaFit:
         return () if self.loglik is None else (self.theta_hat,)
 
 
-def beta_reparam(mean: float, variance: float) -> BetaMoments:
-    """Shapes alpha = psi (psi(1-psi)/var - 1), beta = (1-psi)(...) for a
-    Beta with the given mean and variance. Domain error when the variance
-    is infeasible (variance >= mean(1-mean)) or the mean is not interior."""
-    if math.isnan(mean) or not (0.0 < mean < 1.0):
-        raise DomainError(f"beta_reparam: mean must be in (0, 1), got {mean!r}")
-    if math.isnan(variance) or variance <= 0.0:
-        raise DomainError(f"beta_reparam: variance must be > 0, got {variance!r}")
-    cap = mean * (1.0 - mean)
-    if variance >= cap:
-        raise DomainError(
-            f"beta_reparam: variance {variance!r} infeasible for mean {mean!r} "
-            f"(needs < {cap!r})")
-    common = cap / variance - 1.0
-    return BetaMoments(mean * common, (1.0 - mean) * common)
-
-
 # ---------------------------------------------------------------------------
 # shared pieces
 # ---------------------------------------------------------------------------
@@ -156,15 +125,22 @@ def _usable(estimates: Sequence[GrrrEstimate], method: str,
     return np.array([e.theta_hat for e in kept]), np.array([e.sigma2 for e in kept])
 
 
+def _weighted_mean(thetas: np.ndarray, sig2: np.ndarray, tau2: float):
+    """The w = 1/(sigma^2 + tau^2) weighted mean of ``thetas``, the weights
+    and their sum. Sums are exact (``math.fsum``), so they do not depend on
+    the order of the studies."""
+    w = 1.0 / (sig2 + tau2)
+    sw = math.fsum(w.tolist())
+    return math.fsum((w * thetas).tolist()) / sw, w, sw
+
+
 def _q_statistics(thetas: np.ndarray, sig2: np.ndarray):
     """Cochran's Q machinery shared by DL and the likelihood fits' starting
     values: (fixed-effect mean, DL tau^2, I^2). Sums are exact
     (``math.fsum``), so they do not depend on the order of the studies.
     ``DomainError`` when C = sum w - sum w^2 / sum w is not > 0, which
     happens when one weight swamps the rest in rounding."""
-    w = 1.0 / sig2
-    sw = math.fsum(w)
-    theta_fe = math.fsum(w * thetas) / sw
+    theta_fe, w, sw = _weighted_mean(thetas, sig2, 0.0)
     q = math.fsum(w * (thetas - theta_fe) ** 2)
     df = len(thetas) - 1
     c = sw - math.fsum(w * w) / sw
@@ -240,19 +216,35 @@ def _likelihood_fit(method: str, negll, theta_hat: float, tau_hat: float,
     )
 
 
-def _fit_two_param(method: str, negll, theta0: float, tau0: float,
-                   n_used: int) -> MetaFit:
-    """One Nelder-Mead search over (theta, tau) from (theta0, tau0);
-    ``negll`` as for ``_likelihood_fit``."""
+def _fit_two_param(method: str, negll, thetas: np.ndarray, sig2: np.ndarray) -> MetaFit:
+    """One Nelder-Mead search over (theta, tau) from the DL fit of the
+    studies' ``thetas`` and ``sig2``; ``negll`` as for ``_likelihood_fit``."""
+    theta0, tau2, _ = _q_statistics(thetas, sig2)
 
     def point(x):
         return (_clip_theta(math.tanh(x[0])),
                 max(0.0, math.exp(min(x[1], 50.0)) - _TAU_EPS))
 
     res = minimize(lambda x: negll(*point(x))[0],
-                   (math.atanh(_clip_theta(theta0)), math.log(max(tau0, 0.0) + _TAU_EPS)))
-    return _likelihood_fit(method, negll, *point(res.argmin), res.value, n_used,
+                   (math.atanh(_clip_theta(theta0)), math.log(math.sqrt(tau2) + _TAU_EPS)))
+    return _likelihood_fit(method, negll, *point(res.argmin), res.value, len(thetas),
                            res.converged)
+
+
+def _beta_negll(theta: float, v, log_terms):
+    """The negative log likelihood under a Beta law for psi of mean
+    (1 + theta)/2 and variance ``v`` (one, or one per study), and whether it
+    is accurate: -fsum of the per-study ``log_terms(alpha, beta)``, which
+    returns them and their accuracy. An infeasible variance (max v >= mean
+    times complement) gives a penalty graded by v, without ``log_terms``."""
+    psi_bar = 0.5 * (1.0 + theta)
+    cap = psi_bar * (1.0 - psi_bar)
+    vmax = float(np.max(v))
+    if vmax >= cap:
+        return _PENALTY * (1.0 + vmax / cap), True
+    common = cap / v - 1.0
+    terms, accurate = log_terms(psi_bar * common, (1.0 - psi_bar) * common)
+    return -math.fsum(terms.tolist()), accurate
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +255,10 @@ def fit_direct_dl(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     """DerSimonian-Laird moment fit of the normal random-effects model."""
     thetas, sig2 = _usable(estimates, "fit_direct_dl", require_interior=False)
     _, tau2, i2 = _q_statistics(thetas, sig2)
-    w = 1.0 / (sig2 + tau2)
-    sw = math.fsum(w)
+    theta_hat, _, sw = _weighted_mean(thetas, sig2, tau2)
     return MetaFit(
         method="direct-dl",
-        theta_hat=math.fsum(w * thetas) / sw,
+        theta_hat=theta_hat,
         se_theta=1.0 / math.sqrt(sw),
         tau_hat=math.sqrt(tau2),
         se_tau=None,
@@ -297,8 +288,7 @@ def fit_direct_ml(estimates: Sequence[GrrrEstimate]) -> MetaFit:
 
     def profile(tau: float):
         """theta(tau) and the score s(tau)."""
-        w = 1.0 / (sig2 + tau * tau)
-        theta = math.fsum((w * thetas).tolist()) / math.fsum(w.tolist())
+        theta, w, _ = _weighted_mean(thetas, sig2, tau * tau)
         return theta, math.fsum(((w * (thetas - theta)) ** 2 - w).tolist())
 
     grid = [2.0 * (j / 64) ** 2 for j in range(65)]
@@ -331,22 +321,14 @@ def fit_beta_model(estimates: Sequence[GrrrEstimate]) -> MetaFit:
     log_psi = np.log(psi_hat)
     log_psic = np.log1p(-psi_hat)
     var_quarter = 0.25 * sig2
-    theta0, tau2_dl, _ = _q_statistics(thetas, sig2)
 
-    def negll(theta: float, tau: float) -> float:
-        psi_bar = 0.5 * (1.0 + theta)
-        cap = psi_bar * (1.0 - psi_bar)
-        v = var_quarter + 0.25 * tau * tau
-        vmax = float(v.max())
-        if vmax >= cap:
-            return _PENALTY * (1.0 + vmax / cap), True
-        common = cap / v - 1.0
-        a = psi_bar * common
-        b = (1.0 - psi_bar) * common
-        return -math.fsum(((a - 1.0) * log_psi + (b - 1.0) * log_psic
-                           - log_beta(a, b)).tolist()), True
+    def log_terms(a, b):
+        return (a - 1.0) * log_psi + (b - 1.0) * log_psic - log_beta(a, b), True
 
-    return _fit_two_param("beta", negll, theta0, math.sqrt(tau2_dl), len(thetas))
+    def negll(theta: float, tau: float):
+        return _beta_negll(theta, var_quarter + 0.25 * tau * tau, log_terms)
+
+    return _fit_two_param("beta", negll, thetas, sig2)
 
 
 # ---------------------------------------------------------------------------
@@ -635,22 +617,14 @@ def fit_split_lognormal_model(tables: Sequence[StudyTable],
     estimates = [make_estimate(t, VarianceSpec("approx"), zero_correction=zero_correction)
                  for t in tables]
     theta_hats = [est.theta_hat for est in estimates]
-    theta0, tau2_dl, _ = _q_statistics(
-        np.array(theta_hats), np.array([est.sigma2 for est in estimates]))
     marginal = _SplitMarginal(theta_hats, approxes)
 
     def negll(theta: float, tau: float):
         """The negative log likelihood and whether the rule met its
-        tolerance. An infeasible Beta variance gives the penalty."""
+        tolerance."""
         if tau <= _TAU_BOUNDARY:
             return -math.fsum(split_loglik(theta_hats, theta, approxes)), True
-        psi_bar = 0.5 * (1.0 + theta)
-        cap = psi_bar * (1.0 - psi_bar)
-        v = 0.25 * tau * tau
-        if v >= cap:
-            return _PENALTY * (1.0 + v / cap), True
-        shapes = beta_reparam(psi_bar, v)
-        terms, accurate = marginal.log_terms(shapes.alpha, shapes.beta)
-        return -math.fsum(terms), accurate
+        return _beta_negll(theta, 0.25 * tau * tau, marginal.log_terms)
 
-    return _fit_two_param("split-lognormal", negll, theta0, math.sqrt(tau2_dl), len(tables))
+    return _fit_two_param("split-lognormal", negll, np.array(theta_hats),
+                          np.array([est.sigma2 for est in estimates]))

@@ -359,14 +359,14 @@ def make_estimate(table: StudyTable,
                   zero_correction: float = 0.0) -> GrrrEstimate:
     """Bundle theta-hat and its within-study variance for one study.
 
-    With ``zero_correction = 0`` (the default, used by the direct fitters)
-    tables keep their raw plug-ins: double-degenerate tables come back as
-    (0, 0) with the degenerate flag set, single-boundary tables keep
-    theta-hat = +-1 with an exact variance, and the "approx" method
-    falls back to the exact variance at the boundary. A positive
-    ``zero_correction`` (beta / split-lognormal paths) replaces boundary
-    tables' cells with corrected ones (``_plugin_cells``) before anything
-    else is computed; the exact and bootstrap variances then keep the
+    With ``zero_correction = 0`` (the default) tables keep their raw
+    plug-ins: double-degenerate tables come back as (0, 0) with the
+    degenerate flag set, single-boundary tables keep theta-hat = +-1 with
+    an exact variance, and the "approx" method falls back to the exact
+    variance at the boundary. A positive ``zero_correction`` (the CLI
+    passes ``--zero-correction``, 0.5 unless set, under every model and
+    for ``estimate``) replaces boundary tables' cells with corrected ones
+    (``_plugin_cells``) before anything else is computed; the exact and bootstrap variances then keep the
     original arm sizes with the corrected probabilities. A negative,
     infinite or NaN ``zero_correction`` is a domain error.
     """

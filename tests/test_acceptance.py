@@ -35,7 +35,6 @@ from grrr.distribution import (
 from grrr.errors import DomainError
 from grrr.kernels import make_rng
 from grrr.meta import (
-    beta_reparam,
     fit_beta_model,
     fit_direct_dl,
     fit_direct_ml,
@@ -465,11 +464,16 @@ def _ml_negll(theta, tau, estimates):
     return total
 
 
+def _beta_shapes(mean, var):
+    """Beta shapes from mean = a/(a+b) and var = mean(1-mean)/(a+b+1)."""
+    total = mean * (1 - mean) / var - 1
+    return mean * total, (1 - mean) * total
+
+
 def _beta_negll(theta, tau, estimates):
     total = 0.0
     for e in estimates:
-        shapes = beta_reparam((1 + theta) / 2, (e.sigma2 + tau * tau) / 4)
-        a, b = shapes.alpha, shapes.beta
+        a, b = _beta_shapes((1 + theta) / 2, (e.sigma2 + tau * tau) / 4)
         psi = (1 + e.theta_hat) / 2
         log_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         total -= ((a - 1) * math.log(psi) + (b - 1) * math.log1p(-psi) - log_b)
@@ -479,8 +483,7 @@ def _beta_negll(theta, tau, estimates):
 def _sln_negll(theta, tau, tables):
     from grrr.distribution import loglik
     total = 0.0
-    shapes = beta_reparam((1 + theta) / 2, tau * tau / 4)
-    a, b = shapes.alpha, shapes.beta
+    a, b = _beta_shapes((1 + theta) / 2, tau * tau / 4)
     log_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     mode = (a - 1) / (a + b - 2) if min(a, b) > 1 else 0.5
     for t in tables:

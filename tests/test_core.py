@@ -8,7 +8,6 @@ import pytest
 from grrr.core import (
     StudyTable,
     estimate_theta,
-    mean_baseline_risk,
     odds_ratio_to_theta,
     phi_to_theta,
     probs_to_phi,
@@ -221,16 +220,3 @@ class TestOddsRatioConversion:
         with pytest.raises(DomainError):
             phi_to_theta(1.0, 0.5)
 
-
-class TestMeanBaselineRisk:
-    def test_unweighted(self):
-        tables = [_table(1, 10, 2, 10, "a"), _table(1, 10, 6, 10, "b")]
-        assert mean_baseline_risk(tables) == pytest.approx(0.4)
-
-    def test_weighted_pools_subjects(self):
-        tables = [_table(1, 10, 2, 10, "a"), _table(1, 10, 30, 90, "b")]
-        assert mean_baseline_risk(tables, weighted=True) == pytest.approx(0.32)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DatasetError):
-            mean_baseline_risk([])

@@ -28,12 +28,11 @@ from grrr.distribution import SplitLognormalApprox, pdf
 from grrr.errors import ConvergenceError, DomainError
 from grrr.kernels import log_beta
 from grrr.meta import (
-    BetaMoments,
     MetaFit,
+    _beta_negll,
     _hessian_se,
     _log_weight,
     _SplitMarginal,
-    beta_reparam,
     fit_beta_model,
     fit_direct_dl,
     fit_direct_ml,
@@ -94,26 +93,43 @@ _SIX_TABLES = _tables([
 ])
 
 
-class TestBetaReparam:
+def _beta_shapes(mean, var):
+    """Beta shapes from mean = a/(a+b) and var = mean(1-mean)/(a+b+1)."""
+    total = mean * (1.0 - mean) / var - 1.0
+    return mean * total, (1.0 - mean) * total
+
+
+class TestBetaNegll:
     def test_round_trip_moments(self):
         for mean, var in [(0.5, 0.01), (0.2, 0.02), (0.87, 0.001), (0.04, 0.0003)]:
-            shapes = beta_reparam(mean, var)
-            s = shapes.alpha + shapes.beta
-            assert shapes.alpha / s == pytest.approx(mean, rel=1e-12)
-            got_var = shapes.alpha * shapes.beta / (s * s * (s + 1.0))
+            seen = []
+
+            def log_terms(a, b):
+                seen.append((a, b))
+                return np.array([-1.5, 0.25]), False
+
+            value, accurate = _beta_negll(2.0 * mean - 1.0, var, log_terms)
+            assert (value, accurate) == (1.25, False)
+            (alpha, beta), = seen
+            s = alpha + beta
+            assert alpha / s == pytest.approx(mean, rel=1e-12)
+            got_var = alpha * beta / (s * s * (s + 1.0))
             assert got_var == pytest.approx(var, rel=1e-12)
 
-    def test_infeasible_variance(self):
-        with pytest.raises(DomainError):
-            beta_reparam(0.5, 0.25)  # variance cap is mean(1-mean)
-        with pytest.raises(DomainError):
-            beta_reparam(0.5, 0.3)
-        with pytest.raises(DomainError):
-            beta_reparam(0.0, 0.01)
+    @pytest.mark.parametrize("others", [(), (0.01, 0.02)], ids=["scalar", "per-study"])
+    def test_infeasible_variance_gives_a_graded_penalty(self, others):
+        # the variance cap is mean(1 - mean) = 0.25 at theta = 0; with
+        # ``others`` the variances are per study, the last one not under it
+        def log_terms(a, b):
+            raise AssertionError("log_terms called for an infeasible variance")
 
-    def test_shape_validation(self):
-        with pytest.raises(DomainError):
-            BetaMoments(0.0, 2.0)
+        values = []
+        for v in (0.25, 0.3, 0.9):
+            value, accurate = _beta_negll(0.0, np.array([*others, v]) if others else v,
+                                          log_terms)
+            assert math.isfinite(value) and value >= 1e10 and accurate
+            values.append(value)
+        assert values[0] < values[1] < values[2]
 
 
 class TestDirectDL:
@@ -344,19 +360,18 @@ class TestSplitIntegrand:
         marginal = _SplitMarginal(theta_hats, approxes)
         rng = np.random.default_rng(5)
         for theta, tau in [(-0.3, 0.3), (0.2, 0.5), (-0.46, 0.05)]:
-            shapes = beta_reparam(0.5 * (1.0 + theta), 0.25 * tau * tau)
-            ln_b = log_beta(shapes.alpha, shapes.beta)
+            alpha, beta = _beta_shapes(0.5 * (1.0 + theta), 0.25 * tau * tau)
+            ln_b = log_beta(alpha, beta)
             for i, us in self._points(marginal, rng):
                 mirrored = bool(marginal.mirrored[i, 0])
-                a, b = ((shapes.beta, shapes.alpha) if mirrored
-                        else (shapes.alpha, shapes.beta))
+                a, b = (beta, alpha) if mirrored else (alpha, beta)
                 r = float(marginal.r[i, 0])
                 got = np.exp(marginal.log_normal(us[None, :])[i]
                              + _log_weight(a, b, r)(us) - ln_b)
                 for u, value in zip(us, got):
                     th, psi, jac = _theta_psi_jacobian(float(u), mirrored, r)
                     want = (pdf(theta_hats[i], th, approxes[i])
-                            * scipy.stats.beta.pdf(psi, shapes.alpha, shapes.beta) * jac)
+                            * scipy.stats.beta.pdf(psi, alpha, beta) * jac)
                     assert value == pytest.approx(want, rel=1e-12), (i, u, theta, tau)
 
     def test_anchored_weight_differs_by_a_constant(self):
@@ -368,19 +383,19 @@ class TestSplitIntegrand:
         theta_hats, approxes = _split_inputs(_bcg(_BCG_EXTREMES))
         marginal = _SplitMarginal(theta_hats, approxes)
         sd = 0.002   # tau / 2
-        shapes = beta_reparam(0.5, sd * sd)
-        mode = (shapes.alpha - 1.0) / (shapes.alpha + shapes.beta - 2.0)
+        alpha, beta = _beta_shapes(0.5, sd * sd)
+        mode = (alpha - 1.0) / (alpha + beta - 2.0)
         for i in range(3):
             mirrored = bool(marginal.mirrored[i, 0])
             r = float(marginal.r[i, 0])
             psis = mode + sd * np.linspace(-8.0, 8.0, 33)
             phis = 1.0 - psis if mirrored else psis
             us = np.where(phis <= 0.5, np.log(2 * phis), -np.log(2 * (1 - phis)) / r)
-            got = _log_weight(shapes.alpha, shapes.beta, r, mode)(us)
+            got = _log_weight(alpha, beta, r, mode)(us)
             want = []
             for u in us:
                 _, psi, jac = _theta_psi_jacobian(float(u), mirrored, r)
-                want.append(scipy.stats.beta.logpdf(psi, shapes.alpha, shapes.beta)
+                want.append(scipy.stats.beta.logpdf(psi, alpha, beta)
                             + math.log(jac))
             shift = got - np.array(want)
             assert np.ptp(shift) < 1e-9, i
@@ -463,7 +478,7 @@ class TestWindowEnds:
 
         monkeypatch.setattr(grrr.meta, "_panel_edges", recorded)
         monkeypatch.setattr(grrr.meta, "_window_ends", window_ends)
-        terms = marginal.log_terms(shapes.alpha, shapes.beta)
+        terms = marginal.log_terms(*shapes)
         return edges[0], terms
 
     @pytest.mark.parametrize("dataset", ["six", "bcg", "streptokinase"])
@@ -484,12 +499,13 @@ class TestWindowEnds:
         for theta, tau in grid:
             if tau * tau >= 1.0 - theta * theta:
                 continue   # infeasible Beta variance
-            shapes = beta_reparam(0.5 * (1.0 + theta), 0.25 * tau * tau)
+            alpha, beta = _beta_shapes(0.5 * (1.0 + theta), 0.25 * tau * tau)
             psi = 0.5 * (1.0 + theta)
-            kinds.add("U" if shapes.alpha < 1.0 and shapes.beta < 1.0 else
+            kinds.add("U" if alpha < 1.0 and beta < 1.0 else
                       "narrow" if 40.5 * 0.5 * tau < min(psi, 1.0 - psi) else "wide")
-            got = self._edges_and_terms(monkeypatch, marginal, shapes, ladder)
-            want = self._edges_and_terms(monkeypatch, marginal, shapes, _doubling_ends)
+            got = self._edges_and_terms(monkeypatch, marginal, (alpha, beta), ladder)
+            want = self._edges_and_terms(monkeypatch, marginal, (alpha, beta),
+                                         _doubling_ends)
             assert np.array_equal(got[0], want[0]), (theta, tau)
             assert np.array_equal(got[1][0], want[1][0]) and got[1][1] == want[1][1]
         assert kinds == {"U", "narrow", "wide"}
@@ -528,8 +544,8 @@ class TestSplitLikelihoodOracle:
         for tau in (1e-5, 1e-3, 0.01, 0.05, 0.24, 0.9):
             if tau * tau >= 1.0 - theta * theta:
                 continue   # infeasible Beta variance
-            shapes = beta_reparam(0.5 * (1.0 + theta), 0.25 * tau * tau)
-            terms, converged = marginal.log_terms(shapes.alpha, shapes.beta)
+            terms, converged = marginal.log_terms(
+                *_beta_shapes(0.5 * (1.0 + theta), 0.25 * tau * tau))
             oracle = [_mp_study_loglik(th, ap.sigma1, ap.sigma2, theta, tau)
                       for th, ap in zip(theta_hats, approxes)]
             assert converged, tau
@@ -548,8 +564,7 @@ class TestSplitLognormalModel:
         theta_hats, approxes = _split_inputs(tables)
 
         def negll(theta, tau):
-            shapes = beta_reparam(0.5 * (1.0 + theta), 0.25 * tau * tau)
-            a, b = shapes.alpha, shapes.beta
+            a, b = _beta_shapes(0.5 * (1.0 + theta), 0.25 * tau * tau)
             mode = (a - 1.0) / (a + b - 2.0) if min(a, b) > 1.0 else 0.5
             total = 0.0
             for th, ap in zip(theta_hats, approxes):
@@ -584,13 +599,13 @@ class TestSplitLognormalModel:
                       for t in tables]
         theta, tau = -0.3, 1e-5
         psi_bar = 0.5 * (1.0 + theta)
-        shapes = beta_reparam(psi_bar, 0.25 * tau * tau)
+        alpha, beta = _beta_shapes(psi_bar, 0.25 * tau * tau)
         for th, ap in zip(theta_hats, approxes):
             point = pdf(th, theta, ap)
 
             def f(psi):
                 dens = pdf(th, 2 * psi - 1, ap)
-                return dens * scipy.stats.beta.pdf(psi, shapes.alpha, shapes.beta)
+                return dens * scipy.stats.beta.pdf(psi, alpha, beta)
 
             val, _ = scipy.integrate.quad(
                 f, psi_bar - 6e-5, psi_bar + 6e-5, limit=200, epsabs=0.0,

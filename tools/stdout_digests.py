@@ -4,8 +4,10 @@ Runs ``grrr analyze`` and ``grrr estimate`` in process on the bundled
 datasets, also with each non-default flag and the bootstrap engine;
 ``grrr estimate`` on an interior table of 1e8 per arm, whose pmf windows
 are ~90 times wider than any other input's, and on a table of 1e10 per arm
-near the boundary, whose count products pass 2^63; ``grrr analyze`` on the
-seeded inputs of ``perfbench/workloads.py`` (imported, not changed); and
+near the boundary, whose count products pass 2^63; ``grrr analyze`` under
+every model on four studies of opposite effects, whose beta and
+split-lognormal searches propose infeasible Beta variances; ``grrr analyze``
+on the seeded inputs of ``perfbench/workloads.py`` (imported, not changed); and
 ``grrr convert`` with and without an interval and on two bad inputs. Each
 line holds the SHA-256 of stdout, that of stdout and stderr written to one
 sink in write order (as ``2>&1`` merges them), the exit status and the
@@ -39,6 +41,7 @@ HEADER = "study_id,events_treatment,n_treatment,events_control,n_control\n"
 LARGE_ARMS = {"interior-1e8": "LARGE-1e8,27000000,100000000,30000000,100000000\n",
               "near-boundary-1e10":
                   "LARGE-1e10,9999973000,10000000000,9999970000,10000000000\n"}
+OPPOSITE_EFFECTS = "a,2,100,90,100\nb,90,100,3,100\nc,5,100,80,100\nd,85,100,4,100\n"
 
 
 def inputs():
@@ -47,6 +50,7 @@ def inputs():
         yield path.stem, path.read_text(encoding="utf-8"), True, MODELS
     for name, row in LARGE_ARMS.items():
         yield name, HEADER + row, True, ()
+    yield "opposite-effects", HEADER + OPPOSITE_EFFECTS, False, MODELS
     for seed in (0, 1):
         for round_name, models in ROUNDS.items():
             for a in workloads.ROUNDS[round_name](seed):
